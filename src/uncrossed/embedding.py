@@ -222,24 +222,18 @@ def is_planar_graph(g: Graph) -> tuple:
 def _embed_component_outerplanar(vertices: list, edges: list) -> tuple:
     """Embed one connected edge set with all its vertices on a single face.
 
-    Returns (rotation dict, outer walk darts). Raises NotOuterplanarError with
-    a witness when impossible. Uses an apex vertex adjacent to everything: the
-    component is outerplanar iff the augmented graph is planar, and the faces
-    of the apex-free embedding then include one containing every vertex.
+    Returns (rotation dict, outer walk darts). Raises NotOuterplanarError when
+    impossible. Uses an apex vertex adjacent to everything: the component is
+    outerplanar iff the augmented graph is planar, and the faces of the
+    apex-free embedding then include one containing every vertex.
     """
     apex = max(vertices) + 1
     aug = _nx_graph(0, edges)
     aug.add_nodes_from(vertices)
     aug.add_edges_from((apex, v) for v in vertices)
-    ok, emb = nx.check_planarity(aug, counterexample=False)
+    ok, emb = nx.check_planarity(aug)
     if not ok:
-        _, bad = nx.check_planarity(aug, counterexample=True)
-        witness = [
-            normalize_edge(u, v) for u, v in bad.edges() if apex not in (u, v)
-        ]
-        raise NotOuterplanarError(
-            f"component {vertices} is not outerplanar", witness or None
-        )
+        raise NotOuterplanarError(f"component {vertices} is not outerplanar")
     rotation = {}
     for v in vertices:
         rotation[v] = tuple(u for u in emb.neighbors_cw_order(v) if u != apex)
@@ -261,22 +255,15 @@ def is_outerplanar(g: Graph) -> tuple:
     vertex on one face. The witness (for connected g) is a PlaneDrawing with
     all edges drawn and outer_dart set on the common face.
     """
+    builder = OuterBuilder()
     try:
-        if not edges_connected(g.n, g.edges):
-            # test each component separately; no single witness drawing
-            for comp in connected_components(g.n, g.edges):
-                comp_set = set(comp)
-                sub = [e for e in g.sorted_edges if e[0] in comp_set]
-                _embed_component_outerplanar(comp, sub)
-            return True, None
-        rotation_map, outer_walk = _embed_component_outerplanar(
-            list(range(g.n)), list(g.sorted_edges)
-        )
-        rotation = tuple(tuple(rotation_map.get(v, ())) for v in range(g.n))
-        outer = outer_walk[0] if outer_walk else None
-        return True, PlaneDrawing(g, g.edges, rotation, outer_dart=outer)
+        builder.add_outerplanar(g.n, g.sorted_edges)
     except NotOuterplanarError:
         return False, None
+    if len(builder.components()) != 1:
+        # every component passed, but there is no single witness drawing
+        return True, None
+    return True, builder.build(g)
 
 
 class OuterBuilder:
@@ -330,6 +317,22 @@ class OuterBuilder:
         for v in verts:
             for u in rotation[v]:
                 self.drawn.add(normalize_edge(v, u))
+
+    def add_outerplanar(self, n: int, edges):
+        """Place an outerplanar edge set over vertices 0..n-1.
+
+        Each component is embedded with all its vertices on the shared region
+        and isolated vertices are placed in it. Raises NotOuterplanarError
+        when a component is not outerplanar.
+        """
+        for comp in connected_components(n, edges):
+            if len(comp) == 1:
+                self.add_vertex(comp[0])
+                continue
+            comp_set = set(comp)
+            sub = sorted(e for e in edges if e[0] in comp_set)
+            rotation, outer_walk = _embed_component_outerplanar(comp, sub)
+            self.add_component(rotation, outer_walk)
 
     def components(self) -> list[list[int]]:
         groups: dict[int, list[int]] = {}
@@ -433,18 +436,7 @@ def outerplanar_extension(host: Graph, edges) -> PlaneDrawing:
         if e not in host.edges:
             raise ValueError(f"edge {e} is not a host edge")
     builder = OuterBuilder()
-    touched = set()
-    for e in edge_set:
-        touched.update(e)
-    comps = [c for c in connected_components(host.n, edge_set) if len(c) > 1]
-    for comp in comps:
-        comp_set = set(comp)
-        sub = sorted(e for e in edge_set if e[0] in comp_set)
-        rotation, outer_walk = _embed_component_outerplanar(comp, sub)
-        builder.add_component(rotation, outer_walk)
-    for v in range(host.n):
-        if v not in touched:
-            builder.add_vertex(v)
+    builder.add_outerplanar(host.n, edge_set)
     # connect through the outer region using host edges
     changed = True
     while len(builder.components()) > 1 and changed:

@@ -19,13 +19,8 @@ class MalformedRotationError(ValueError):
 class NotOuterplanarError(ValueError):
     """An edge set required to be outerplanar is not.
 
-    ``witness_edges`` holds a forbidden-substructure witness when one is
-    available (edges of a Kuratowski subgraph of the apex-augmented graph).
+    The message names the offending component; no obstruction is attached.
     """
-
-    def __init__(self, message: str, witness_edges=None):
-        super().__init__(message)
-        self.witness_edges = tuple(sorted(witness_edges)) if witness_edges else None
 
 
 class OracleCapError(RuntimeError):

@@ -15,7 +15,6 @@ from typing import Iterable
 from .errors import FormatError
 
 Edge = tuple[int, int]
-EdgeSet = frozenset  # frozenset[Edge]
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -79,12 +78,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
-
-    @property
-    def coloring(self) -> dict | None:
-        if self.black_count is None:
-            return None
-        return {v: ("black" if v < self.black_count else "white") for v in range(self.n)}
 
     @property
     def blacks(self) -> range:

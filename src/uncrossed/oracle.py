@@ -31,7 +31,6 @@ class AdmissibleFamily:
 
     host: Graph
     members: tuple  # tuple[(frozenset edges, PlaneDrawing), ...]
-    maximal_only: bool = True
 
     def sizes(self) -> tuple:
         return tuple(len(e) for e, _ in self.members)

@@ -330,7 +330,11 @@ def _render_dot(drawings, spec: RenderSpec) -> str:
 
 
 def render(obj, spec: RenderSpec | None = None) -> str:
-    """Render a PlaneDrawing or UncrossedCertificate to SVG or DOT text."""
+    """Render a PlaneDrawing or UncrossedCertificate to SVG or DOT text.
+
+    Raises ValueError, listing the problems, when a drawing is structurally
+    malformed (see PlaneDrawing.structural_errors).
+    """
     if spec is None:
         spec = RenderSpec()
     if isinstance(obj, UncrossedCertificate):
@@ -339,6 +343,13 @@ def render(obj, spec: RenderSpec | None = None) -> str:
         drawings = [obj]
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
+    errors = [
+        f"drawing {i + 1}: {err}"
+        for i, d in enumerate(drawings)
+        for err in d.structural_errors()
+    ]
+    if errors:
+        raise ValueError("cannot render a malformed drawing: " + "; ".join(errors))
     if spec.format == "svg":
         return _render_svg(drawings, spec)
     return _render_dot(drawings, spec)

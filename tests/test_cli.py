@@ -193,6 +193,19 @@ def test_render_certificate_svg_and_dot(tmp_path):
     assert "graph drawing_1" in open(dot).read()
 
 
+def test_render_refuses_malformed_drawing(tmp_path):
+    bad = tmp_path / "bad.cert"
+    bad.write_text(
+        "graph\n3 3\n0 1\n0 2\n1 2\n"
+        "drawing 1\nedges 3\n0 1\n0 7\n1 2\n"
+        "rotation\n0: 1\n1: 0 2\n2: 1\n"
+    )
+    code, out, err = run_cap("render", "--cert", str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "drawn edge (0, 7) is not a host edge" in err
+
+
 def test_unreadable_graph_file():
     code, out, err = run_cap("bound", "--graph", "/nonexistent/g.txt")
     assert code == 2

@@ -186,7 +186,10 @@ def test_bipartite_collection_planar_regime():
 
 
 def test_bipartite_collection_sampled():
-    for m, n in [(3, 3), (3, 5), (3, 6), (4, 4), (4, 7), (4, 8), (5, 7), (5, 9), (6, 6), (6, 20)]:
+    cases = [(3, 3), (3, 5), (3, 6), (4, 4), (4, 7), (4, 8), (5, 7), (5, 9), (6, 6), (6, 20)]
+    # the dense search regime n in {m, m + 1}, where outerplanar_cover does the work
+    cases += [(m, n) for m in range(7, 17) for n in (m, m + 1)]
+    for m, n in cases:
         cert = bipartite_uncrossed_collection(m, n)
         assert cert.size == unc_complete_bipartite(m, n), (m, n)
         rep = verify_certificate(cert)

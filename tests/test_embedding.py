@@ -162,9 +162,8 @@ def test_outerplanar_extension_places_isolated_vertices():
 
 def test_outerplanar_extension_rejects_non_outerplanar_part():
     host = complete_graph(4)
-    with pytest.raises(NotOuterplanarError) as exc:
+    with pytest.raises(NotOuterplanarError, match="not outerplanar"):
         outerplanar_extension(host, list(host.edges))
-    assert exc.value.witness_edges
 
 
 def test_outerplanar_extension_needs_connected_host():
