@@ -184,16 +184,18 @@ def _cmd_verify(args) -> int:
             raise FormatError("graph file and certificate host disagree")
     rep = verify_certificate(cert)
     bounds = certificate_size_vs_bounds(cert)
+    # only a valid certificate is a collection whose size can be optimal
+    optimal = rep.ok and bounds.optimal
     lines = rep.lines()
     lines.append(
         f"size {cert.size} vs lower bound {bounds.lower}"
-        + (" (optimal)" if bounds.optimal else "")
+        + (" (optimal)" if optimal else "")
     )
     payload = {
         "ok": rep.ok,
         "size": cert.size,
         "lower": bounds.lower,
-        "optimal": bounds.optimal,
+        "optimal": optimal,
         "drawings": [
             {"ok": r.ok, "malformed": r.malformed,
              "violating_edges": [list(e) for e in r.violating_edges]}
@@ -376,3 +378,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

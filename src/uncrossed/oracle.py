@@ -6,6 +6,21 @@ h (largest admissible set), ecr (edges minus h), and unc (minimum cover of
 the edge set by admissible sets) exactly. Intended as ground truth against
 the closed forms and constructions, not for anything beyond a dozen edges;
 oversized hosts are refused up front with a size estimate.
+
+The rotation search of one subset runs on integers. Darts are numbered by
+head vertex, and each candidate order of a vertex becomes, once per subset,
+a row of successor slots; a rotation system is a choice of one row per
+vertex. Faces are counted as cycles of that successor list and checked
+against Euler's count first; only a system that passes gets one bit per
+face, ORed into a mask per vertex, so that an undrawn edge (u, v) is
+cofacial when ``mask[u] & mask[v]``. The orders of the last vertex are
+tried only after the faces closing among darts into the other vertices are
+counted: every remaining face runs through one of the last vertex's darts,
+so when that count plus its degree falls short of Euler's, none of its
+orders can succeed and all are skipped. The first admissible system found is
+the same as a plain ``itertools.product`` scan would find, and before it is
+returned it is traced again with ``trace_rotation`` and checked with face
+sets; a disagreement raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -58,7 +73,11 @@ def _cyclic_orders(neighbors: tuple, quotient_reflection: bool):
 
 
 def _admissible_witness(host: Graph, edges: frozenset) -> PlaneDrawing | None:
-    """Search rotation systems of the drawn subset for an admissible drawing."""
+    """Search rotation systems of the drawn subset for an admissible drawing.
+
+    Rotation systems are visited in ``itertools.product`` order over the
+    per-vertex candidate orders, so the first admissible one is returned.
+    """
     n = host.n
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted(edges):
@@ -69,17 +88,104 @@ def _admissible_witness(host: Graph, edges: frozenset) -> PlaneDrawing | None:
     undrawn = sorted(host.edges - edges)
     e = len(edges)
     cand = [list(_cyclic_orders(neighbors[v], v == pivot)) for v in range(n)]
-    for rotation in itertools.product(*cand):
-        faces = trace_rotation({v: rotation[v] for v in range(n)})
-        if n - e + (len(faces) or 1) != 2:
+    # dart (u, v) lives in slot off[v] + position of u in neighbors[v]
+    off = [0]
+    for nb in neighbors:
+        off.append(off[-1] + len(nb))
+    slot = [{u: off[v] + i for i, u in enumerate(nb)} for v, nb in enumerate(neighbors)]
+    head = [v for v, nb in enumerate(neighbors) for _ in nb]
+    # row of an order at v: the slot of the dart that follows each dart into v
+    rows = []
+    for v, nb in enumerate(neighbors):
+        vrows = []
+        for order in cand[v]:
+            after = dict(zip(order, order[1:] + order[:1]))
+            vrows.append(tuple(slot[after[u]][v] for u in nb))
+        rows.append(vrows)
+    last = n - 1
+    low, total = off[last], off[n]
+    target = 2 - n + e
+
+    def cofacial_all(succ) -> bool:
+        mask = [0] * n
+        seen = bytearray(total)
+        bit = 1
+        for s in range(total):
+            if seen[s]:
+                continue
+            cur = s
+            while not seen[cur]:
+                seen[cur] = 1
+                mask[head[cur]] |= bit
+                cur = succ[cur]
+            bit <<= 1
+        return all(mask[u] & mask[v] for u, v in undrawn)
+
+    # darts out of the last vertex; its rows say, for each dart into it,
+    # which of these follows
+    outs = [slot[w][last] for w in neighbors[last]]
+    last_rows = [[outs.index(t) for t in row] for row in rows[last]]
+    for prefix in itertools.product(*rows[:last]):
+        succ = list(itertools.chain.from_iterable(prefix))
+        # each dart out of the last vertex starts a path through darts into
+        # vertices < last that ends at a dart into the last vertex; every
+        # other face closes among darts into vertices < last
+        seen = bytearray(low)
+        exits = []
+        for t in outs:
+            cur = t
+            while cur < low:
+                seen[cur] = 1
+                cur = succ[cur]
+            exits.append(cur - low)
+        closed = 0
+        for s in range(low):
+            if seen[s]:
+                continue
+            closed += 1
+            cur = s
+            while not seen[cur]:
+                seen[cur] = 1
+                cur = succ[cur]
+        # the faces through the last vertex number at most its degree
+        if (closed + len(outs) or 1) < target:
             continue
-        vertex_faces: dict[int, set] = {v: set() for v in range(n)}
+        for row, lrow in zip(rows[last], last_rows):
+            faces = closed
+            done = 0
+            for i in range(len(outs)):
+                if done >> i & 1:
+                    continue
+                faces += 1
+                j = i
+                while not done >> j & 1:
+                    done |= 1 << j
+                    j = exits[lrow[j]]
+            if (faces or 1) != target:
+                continue
+            succ[low:] = row
+            if not cofacial_all(succ):
+                continue
+            rotation = tuple(
+                cand[v][rows[v].index(r)] for v, r in enumerate(prefix + (row,))
+            )
+            _confirm(host, edges, rotation, undrawn)
+            return PlaneDrawing(host, edges, rotation)
+    return None
+
+
+def _confirm(host: Graph, edges: frozenset, rotation: tuple, undrawn: list) -> None:
+    """Re-check a kernel witness with the general face tracer."""
+    faces = trace_rotation({v: rotation[v] for v in range(host.n)})
+    ok = host.n - len(edges) + (len(faces) or 1) == 2
+    if ok:
+        vertex_faces: dict[int, set] = {v: set() for v in range(host.n)}
         for f in faces:
             for v in f.vertices:
                 vertex_faces[v].add(f.id)
-        if all(vertex_faces[u] & vertex_faces[v] for u, v in undrawn):
-            return PlaneDrawing(host, edges, rotation)
-    return None
+        ok = all(vertex_faces[u] & vertex_faces[v] for u, v in undrawn)
+    if not ok:
+        raise AssertionError(f"face tracer rejects the kernel's rotation {rotation}")
 
 
 def enumerate_admissible(

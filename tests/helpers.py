@@ -2,10 +2,10 @@
 
 Everything in here is deliberately written from first principles and shares
 no code path with src/uncrossed: outerplanarity is decided by brute force
-over circular vertex orders, planarity by exhaustive rotation systems with
-a face tracer that walks darts in the opposite direction, and forbidden
-minors by a branch-set search.  Slow, but exact on the small graphs the
-tests feed them.
+over circular vertex orders, planarity and admissibility by exhaustive
+rotation systems with a face tracer that walks darts in the opposite
+direction, and forbidden minors by a branch-set search.  Slow, but exact on
+the small graphs the tests feed them.
 """
 
 from __future__ import annotations
@@ -69,8 +69,9 @@ def outerplanar_bruteforce(n, edges) -> bool:
     return False
 
 
-def _trace_faces_cw(rotation):
-    """Face count of a rotation system, walking successor = previous neighbour.
+def _faces_cw(rotation):
+    """Vertex sets of the faces of a rotation system, walking successor =
+    previous neighbour.
 
     Opposite orientation convention from the package tracer on purpose.
     """
@@ -78,47 +79,60 @@ def _trace_faces_cw(rotation):
     for v, ring in rotation.items():
         for w in ring:
             darts.add((v, w))
-    faces = 0
+    faces = []
     while darts:
         u, v = next(iter(darts))
         start = (u, v)
         cur = start
+        verts = set()
         while True:
             darts.discard(cur)
             a, b = cur
+            verts.add(a)
             ring = rotation[b]
             i = ring.index(a)
             nxt = ring[(i - 1) % len(ring)]
             cur = (b, nxt)
             if cur == start:
                 break
-        faces += 1
+        faces.append(verts)
     return faces
 
 
 def planar_by_rotations(n, edges) -> bool:
     """Exhaustive planarity: some rotation system satisfies Euler's relation.
 
-    Connected graphs only; first neighbour of each vertex is pinned since
-    rotations are cyclic.
+    Connected graphs only.
     """
-    if not connected(n, edges):
-        raise ValueError("connected graphs only")
-    m = len(edges)
-    if m == 0:
-        return True
-    if m > 3 * n - 6 and n >= 3:
+    if len(edges) > 3 * n - 6 and n >= 3:
         return False
-    adj = [sorted(s) for s in _adj_sets(n, edges)]
-    verts = [v for v in range(n) if adj[v]]
-    target = 2 - n + m  # faces required by Euler
+    return admissible_by_rotations(n, edges, edges)
+
+
+def admissible_by_rotations(n, drawn, host_edges) -> bool:
+    """Exhaustive admissibility of a connected spanning drawn edge set.
+
+    Some rotation system of the drawn edges (first neighbour of each vertex
+    pinned) must satisfy Euler's relation, and every host edge left undrawn
+    must have both endpoints on one of its faces.
+    """
+    if not connected(n, drawn):
+        raise ValueError("connected spanning edge sets only")
+    drawn_keys = {frozenset(e) for e in drawn}
+    undrawn = [e for e in host_edges if frozenset(e) not in drawn_keys]
+    target = 2 - n + len(drawn)  # faces required by Euler
     choices = []
-    for v in verts:
-        first, rest = adj[v][0], adj[v][1:]
-        choices.append([(first,) + p for p in itertools.permutations(rest)])
+    for ring in (sorted(s) for s in _adj_sets(n, drawn)):
+        if not ring:
+            choices.append([()])
+            continue
+        choices.append([(ring[0],) + p for p in itertools.permutations(ring[1:])])
     for combo in itertools.product(*choices):
-        rotation = dict(zip(verts, combo))
-        if _trace_faces_cw(rotation) == target:
+        faces = _faces_cw({v: ring for v, ring in enumerate(combo) if ring})
+        # a lone vertex with no darts still has one face
+        if max(len(faces), 1) != target:
+            continue
+        if all(any(u in f and v in f for f in faces) for u, v in undrawn):
             return True
     return False
 

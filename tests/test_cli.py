@@ -5,6 +5,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,12 @@ K7_TEXT = "7 21\n" + "\n".join(
     f"{u} {v}" for u in range(7) for v in range(u + 1, 7)
 )
 TRIANGLE_TEXT = "3 3\n0 1\n0 2\n1 2\n"
+# one drawing of a triangle that lists drawn edge 0 7, which the host lacks
+MALFORMED_TRIANGLE_CERT = (
+    "graph\n3 3\n0 1\n0 2\n1 2\n"
+    "drawing 1\nedges 3\n0 1\n0 7\n1 2\n"
+    "rotation\n0: 1\n1: 0 2\n2: 1\n"
+)
 
 
 def run_cap(*args):
@@ -92,6 +102,20 @@ def test_verify_rejects_broken_certificate(tmp_path):
     code, out, err = run_cap("verify", "--cert", broken)
     assert code == 1
     assert "INVALID" in out
+
+
+def test_verify_never_calls_invalid_certificate_optimal(tmp_path):
+    bad = tmp_path / "bad.cert"
+    bad.write_text(MALFORMED_TRIANGLE_CERT)
+    code, out, err = run_cap("verify", "--cert", str(bad))
+    assert code == 1
+    assert "verdict: INVALID" in out
+    assert out.splitlines()[-1] == "size 1 vs lower bound 1"
+    code, out, err = run_cap("verify", "--cert", str(bad), "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["optimal"] is False
 
 
 def test_construct_cover_roundtrips(tmp_path):
@@ -195,11 +219,7 @@ def test_render_certificate_svg_and_dot(tmp_path):
 
 def test_render_refuses_malformed_drawing(tmp_path):
     bad = tmp_path / "bad.cert"
-    bad.write_text(
-        "graph\n3 3\n0 1\n0 2\n1 2\n"
-        "drawing 1\nedges 3\n0 1\n0 7\n1 2\n"
-        "rotation\n0: 1\n1: 0 2\n2: 1\n"
-    )
+    bad.write_text(MALFORMED_TRIANGLE_CERT)
     code, out, err = run_cap("render", "--cert", str(bad))
     assert code == 2
     assert err.startswith("error:")
@@ -217,3 +237,15 @@ def test_malformed_graph_file(tmp_path):
     p.write_text("nonsense\n")
     code, out, err = run_cap("bound", "--graph", str(p))
     assert code == 2
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "uncrossed.cli", "formula", "complete", "7"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[0] == "unc(K_7) = 3 [unc-complete]"

@@ -8,6 +8,7 @@ carry frozen values.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -22,10 +23,13 @@ from uncrossed import (
     exact_ecr,
     exact_h,
     exact_unc,
+    h_complete_bipartite,
     max_uncrossed_subgraph,
+    unc_complete_bipartite,
     verify_certificate,
     verify_drawing,
 )
+from uncrossed.oracle import _admissible_witness
 
 
 def test_k4_fully_drawable():
@@ -170,3 +174,46 @@ def test_members_are_admissible_and_maximal():
     for i, a in enumerate(sets):
         for j, b in enumerate(sets):
             assert i == j or not a < b
+
+
+def _check_kernel(host, subset):
+    witness = _admissible_witness(host, frozenset(subset))
+    assert (witness is not None) == H.admissible_by_rotations(
+        host.n, subset, host.sorted_edges
+    ), sorted(subset)
+    if witness is not None:
+        assert witness.drawn == frozenset(subset)
+        assert verify_drawing(host, witness).ok
+    return witness is not None
+
+
+def test_kernel_matches_reference_on_all_small_subsets():
+    for host in (complete_graph(4), complete_bipartite(3, 3)):
+        for k in range(host.n - 1, host.m + 1):
+            for subset in itertools.combinations(host.sorted_edges, k):
+                if H.connected(host.n, subset):
+                    _check_kernel(host, subset)
+
+
+def test_kernel_matches_reference_on_sampled_k5_subsets():
+    host = complete_graph(5)
+    rng = random.Random(41)
+    edges = host.sorted_edges
+    seen = set()
+    outcomes = set()
+    while len(seen) < 80:
+        subset = tuple(sorted(rng.sample(edges, rng.randint(4, 8))))
+        if subset in seen or not H.connected(host.n, subset):
+            continue
+        seen.add(subset)
+        outcomes.add(_check_kernel(host, subset))
+    assert outcomes == {True, False}
+
+
+def test_k35_exact_values_past_the_default_cap():
+    host = complete_bipartite(3, 5)
+    fam = enumerate_admissible(host, cap=15)
+    assert exact_h(host, family=fam) == h_complete_bipartite(3, 5) == 10
+    u, cert = exact_unc(host, family=fam)
+    assert u == unc_complete_bipartite(3, 5) == 2
+    assert verify_certificate(cert).ok
