@@ -8,7 +8,9 @@ verification, 2 usage or file format errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from . import constructions as cons
@@ -30,6 +32,10 @@ from .errors import (
 )
 from .graph import Graph, normalize_edge, parse_edge_list
 from .render import FORMATS, LAYOUTS, RenderSpec, render
+
+# largest host, in edges, that construct and reduce will build: ten times
+# the K_400 wheel (79,800 edges), far below what exhausts memory
+MAX_HOST_EDGES = 1_000_000
 
 
 def _read(path: str) -> str:
@@ -98,6 +104,13 @@ def _want_sizes(args, count: int) -> list:
     return args.sizes
 
 
+def _check_host_size(edges: int) -> None:
+    if edges > MAX_HOST_EDGES:
+        raise ValueError(
+            f"host would have {edges} edges, more than the limit of {MAX_HOST_EDGES}"
+        )
+
+
 def _cmd_formula(args) -> int:
     if args.family == "complete":
         (n,) = _want_sizes(args, 1)
@@ -153,14 +166,17 @@ def _render_or_text(args, obj, text: str) -> str:
 def _cmd_construct(args) -> int:
     if args.what == "wheel":
         (n,) = _want_sizes(args, 1)
+        _check_host_size(max(n, 0) * (n - 1) // 2)
         d = cons.wheel_drawing(n)
         out = _render_or_text(args, d, serialize_drawing(d))
     elif args.what == "ladder":
         m, n = _want_sizes(args, 2)
+        _check_host_size(max(m, 0) * max(n, 0))
         d = cons.ladder_with_leaves(m, n)
         out = _render_or_text(args, d, serialize_drawing(d))
     elif args.what == "cover":
         m, n = _want_sizes(args, 2)
+        _check_host_size(max(m, 0) * max(n, 0))
         if n == 2 * m - 1:
             cover = cons.double_cycle_cover_minus_one(m)
         else:
@@ -170,6 +186,7 @@ def _cmd_construct(args) -> int:
         out = cons.serialize_cover(cover)
     else:  # collection
         m, n = _want_sizes(args, 2)
+        _check_host_size(max(m, 0) * max(n, 0))
         cert = cons.bipartite_uncrossed_collection(m, n)
         out = _render_or_text(args, cert, serialize_certificate(cert))
     _write_out(out, args.output)
@@ -240,8 +257,10 @@ def _cmd_oracle(args) -> int:
 def _cmd_reduce(args) -> int:
     g = _load_graph(args.graph)
     if args.kind == "ecr":
+        _check_host_size(g.n + 4 * g.n * g.m)
         inst = red.reduce_mos_to_ecr(g, args.k)
     else:
+        _check_host_size(g.m + 2 * g.n)
         inst = red.reduce_ot_to_unc(g, args.k)
     lines = [f"# {inst.kind} reduction, k = {inst.k}", f"budget: {inst.budget}"]
     gm = inst.gadget_map
@@ -297,6 +316,7 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="uncrossed",
@@ -377,7 +397,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send the unflushed rest nowhere and exit
+        # without a traceback (recipe from the `signal` module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -391,19 +391,17 @@ def outerplanar_cover(m: int, n: int) -> list:
         layouts += [
             (2,) + (3,) * j + (4,) + (3,) * (m - 3 - j) + (2,) for j in range(m - 2)
         ]
+    # each chain relabels the layout's base chain (blacks by beta*t, whites
+    # by sigma*t), so one outerplanarity test per layout answers for all
     for layout in layouts:
+        if not _outerplanar(m, n, _chain_edges(m, n, layout, 0, 0)):
+            continue
         for beta in range(m):
             for sigma in range(n):
-                parts = []
-                good = True
-                for t in range(ell - 1):
-                    p = _chain_edges(m, n, layout, (beta * t) % m, (sigma * t) % n)
-                    if p is None or not _outerplanar(m, n, p):
-                        good = False
-                        break
-                    parts.append(p)
-                if not good:
-                    continue
+                parts = [
+                    _chain_edges(m, n, layout, (beta * t) % m, (sigma * t) % n)
+                    for t in range(ell - 1)
+                ]
                 union: set = set()
                 for p in parts:
                     union |= p

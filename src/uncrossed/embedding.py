@@ -8,6 +8,10 @@ every check here is exact and deterministic.
 The face-successor convention is fixed once and used everywhere: the dart
 after ``(u, v)`` is ``(v, w)`` where ``w`` follows ``u`` in the cyclic order
 around ``v``.
+
+Outerplanar embedding is pure Python, one biconnected block at a time (the
+degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
+general planarity test ``is_planar_graph``.
 """
 
 from __future__ import annotations
@@ -194,13 +198,6 @@ def cofacial(d: PlaneDrawing, u: int, v: int) -> bool:
     return bool(d.vertex_faces[u] & d.vertex_faces[v])
 
 
-def _nx_graph(n: int, edges) -> nx.Graph:
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(edges)
-    return g
-
-
 def is_planar_graph(g: Graph) -> tuple:
     """(True, embedding witness) or (False, None) for the abstract graph.
 
@@ -208,7 +205,10 @@ def is_planar_graph(g: Graph) -> tuple:
     produced for connected inputs (disconnected ones report planarity with a
     None witness).
     """
-    ok, emb = nx.check_planarity(_nx_graph(g.n, g.edges))
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges)
+    ok, emb = nx.check_planarity(ng)
     if not ok:
         return False, None
     if not edges_connected(g.n, g.edges):
@@ -219,24 +219,139 @@ def is_planar_graph(g: Graph) -> tuple:
     return True, PlaneDrawing(g, g.edges, rotation)
 
 
+def _blocks(root: int, adj: dict) -> list:
+    """Edge lists of the biconnected blocks of the component holding root.
+
+    One iterative depth-first search with lowpoints: tree and back edges go
+    on an edge stack, and a block is popped off it when a child's lowpoint
+    does not reach above its parent.
+    """
+    disc = {root: 0}
+    low = {root: 0}
+    edge_stack: list = []
+    blocks: list = []
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                edge_stack.append((v, w))
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if parent is None:
+                continue
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                block = []
+                while True:
+                    e = edge_stack.pop()
+                    block.append(e)
+                    if e == (parent, v):
+                        break
+                blocks.append(block)
+    return blocks
+
+
+def _block_cycle(block: list) -> list:
+    """The vertices of one block in the cyclic order of its outer cycle.
+
+    Degree-2 vertices are removed one at a time, joining their two neighbours
+    by a virtual edge, until three vertices are left; they are then put back
+    in reverse order, each between its two neighbours on a cyclic linked
+    list. Every block edge must then nest as a chord of that order, which
+    alone proves the block outerplanar. Returns None when it is not.
+    """
+    adj: dict = {}
+    for u, v in block:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    k = len(adj)
+    if k <= 3:
+        return list(adj)
+    if len(block) > 2 * k - 3:
+        return None
+    removed = []
+    queue = [v for v in adj if len(adj[v]) == 2]
+    left = k
+    while queue and left > 3:
+        v = queue.pop()
+        if v not in adj or len(adj[v]) != 2:
+            continue
+        a, b = adj.pop(v)
+        removed.append((v, a, b))
+        left -= 1
+        adj[a].discard(v)
+        adj[b].discard(v)
+        adj[a].add(b)
+        adj[b].add(a)
+        queue.extend(x for x in (a, b) if len(adj[x]) == 2)
+    if left > 3:
+        return None
+    r0, r1, r2 = adj
+    nxt = {r0: r1, r1: r2, r2: r0}
+    for v, a, b in reversed(removed):
+        if nxt[b] == a:
+            a, b = b, a
+        elif nxt[a] != b:
+            return None
+        nxt[a] = v
+        nxt[v] = b
+    order = [r0]
+    for _ in range(k - 1):
+        order.append(nxt[order[-1]])
+    pos = {v: i for i, v in enumerate(order)}
+    ends: list = [[] for _ in range(k)]
+    for u, v in block:
+        i, j = sorted((pos[u], pos[v]))
+        ends[i].append(j)
+    # chords nest iff the open ones close in last-opened-first order
+    stack: list = []
+    for i in range(k):
+        while stack and stack[-1] == i:
+            stack.pop()
+        for j in sorted(ends[i], reverse=True):
+            if stack and stack[-1] < j:
+                return None
+            stack.append(j)
+    return order
+
+
 def _embed_component_outerplanar(vertices: list, edges: list) -> tuple:
     """Embed one connected edge set with all its vertices on a single face.
 
     Returns (rotation dict, outer walk darts). Raises NotOuterplanarError when
-    impossible. Uses an apex vertex adjacent to everything: the component is
-    outerplanar iff the augmented graph is planar, and the faces of the
-    apex-free embedding then include one containing every vertex.
+    impossible. Each biconnected block is laid out on the cyclic order of its
+    outer cycle (``_block_cycle``); a vertex's rotation in a block is its
+    block neighbours sorted by cyclic offset from it, so the block's outer
+    corner at the vertex lies between its last and first neighbour. A cut
+    vertex lists the fans of its blocks one after another, which puts every
+    block in the shared outer region.
     """
-    apex = max(vertices) + 1
-    aug = _nx_graph(0, edges)
-    aug.add_nodes_from(vertices)
-    aug.add_edges_from((apex, v) for v in vertices)
-    ok, emb = nx.check_planarity(aug)
-    if not ok:
-        raise NotOuterplanarError(f"component {vertices} is not outerplanar")
-    rotation = {}
-    for v in vertices:
-        rotation[v] = tuple(u for u in emb.neighbors_cw_order(v) if u != apex)
+    adj: dict = {v: [] for v in vertices}
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    fans: dict = {v: [] for v in vertices}
+    for block in _blocks(vertices[0], adj):
+        order = _block_cycle(block)
+        if order is None:
+            raise NotOuterplanarError(f"component {vertices} is not outerplanar")
+        k = len(order)
+        pos = {v: i for i, v in enumerate(order)}
+        nbrs: dict = {v: [] for v in order}
+        for u, v in block:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for v in order:
+            p = pos[v]
+            fans[v].extend(sorted(nbrs[v], key=lambda u: (pos[u] - p) % k))
+    rotation = {v: tuple(fans[v]) for v in vertices}
     faces = trace_rotation(rotation)
     vset = set(vertices)
     for f in faces:
@@ -245,7 +360,7 @@ def _embed_component_outerplanar(vertices: list, edges: list) -> tuple:
     # single vertex, no edges: no darts at all
     if not edges:
         return rotation, []
-    raise AssertionError("apex embedding produced no all-vertex face")
+    raise AssertionError("block embedding produced no all-vertex face")
 
 
 def is_outerplanar(g: Graph) -> tuple:

@@ -239,13 +239,70 @@ def test_malformed_graph_file(tmp_path):
     assert code == 2
 
 
-def test_module_entry_point_runs_the_cli():
+def _cli_command(*args):
+    """argv and environment that run the CLI of this checkout in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "uncrossed.cli", "formula", "complete", "7"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    return [sys.executable, "-m", "uncrossed.cli", *args], env
+
+
+def run_fresh(*args):
+    argv, env = _cli_command(*args)
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_runs_the_cli():
+    argv, env = _cli_command("formula", "complete", "7")
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "unc(K_7) = 3 [unc-complete]"
+
+
+def test_reused_parser_matches_fresh_processes(monkeypatch):
+    # argparse wraps usage and help text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [("construct", "nonsense", "3"), ("formula", "complete", "7"),
+             ("construct", "--help"), ("formula", "complete")]
+    in_process = [run_cap(*args) for args in calls]
+    assert [r[0] for r in in_process] == [2, 0, 0, 2]
+    assert in_process == [run_fresh(*args) for args in calls]
+
+
+def test_closed_stdout_pipe_exits_without_traceback(tmp_path):
+    cert = str(tmp_path / "wheel.cert")
+    assert run_cap("construct", "wheel", "200", "-o", cert)[0] == 0
+    argv, env = _cli_command("verify", "--cert", cert)
+    # the report runs to about 200 kB, more than a pipe buffers
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert first == b"drawing 1: ok\n"
+    assert err == b""  # in particular, no Traceback
+
+
+@pytest.mark.parametrize("args, edges", [
+    (("construct", "wheel", "100000"), 4_999_950_000),
+    (("construct", "collection", "3000", "3000"), 9_000_000),
+])
+def test_oversized_host_refused_up_front(args, edges):
+    code, out, err = run_cap(*args)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: host would have {edges} edges, more than the limit of 1000000\n"
+    )
+
+
+def test_oversized_reduction_refused_up_front(tmp_path):
+    # the ecr target of K_100 has 100 + 4 * 100 * 4950 edges
+    g = tmp_path / "k100.txt"
+    g.write_text("100 4950\n" + "\n".join(
+        f"{u} {v}" for u in range(100) for v in range(u + 1, 100)))
+    code, out, err = run_cap("reduce", "ecr", "--graph", str(g), "-k", "1")
+    assert code == 2
+    assert err == "error: host would have 1980100 edges, more than the limit of 1000000\n"

@@ -6,6 +6,8 @@ validation, and a sampled portion of each range.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import helpers as H
@@ -157,6 +159,19 @@ def test_outerplanar_cover_small():
                 assert _part_outerplanar_bruteforce(part), (m, n)
             alle.update(part)
         assert alle == set(complete_bipartite(m, n).sorted_edges), (m, n)
+
+
+def test_outerplanar_cover_parts_pinned():
+    # sha256 over every part's sorted edges for 6 <= m <= 16, n in {m, m+1}:
+    # the search may get faster, but it must find the same parts in order
+    h = hashlib.sha256()
+    for m in range(6, 17):
+        for n in (m, m + 1):
+            for i, part in enumerate(outerplanar_cover(m, n)):
+                h.update(f"{m} {n} {i}: {sorted(part)}\n".encode())
+    assert h.hexdigest() == (
+        "d97529f61ddf4735b4c683af45c696a00a3a744ff555958276a304040f9b7375"
+    )
 
 
 def _part_outerplanar_bruteforce(part):

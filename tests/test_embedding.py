@@ -6,6 +6,7 @@ force reference routes in helpers.py, which share no code with the package.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -133,6 +134,53 @@ def test_is_outerplanar_matches_bruteforce():
                 f for f in witness.faces if witness.outer_dart in f.walk
             )
             assert outer.vertices == frozenset(range(n))
+
+
+def _check_outerplanar(n, edges):
+    """is_outerplanar against brute force; a witness must be a plane drawing
+    whose outer face holds every vertex. Returns the answer."""
+    ok, witness = is_outerplanar(Graph(n, edges))
+    assert ok == H.outerplanar_bruteforce(n, edges), (n, edges)
+    if witness is not None and edges:
+        assert is_planar_embedding(witness), (n, edges)
+        assert witness.outer_face().vertices == frozenset(range(n)), (n, edges)
+    return ok
+
+
+def test_is_outerplanar_on_every_graph_up_to_five_vertices():
+    count = 0
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            _check_outerplanar(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            count += 1
+    assert count == 1099
+
+
+def test_is_outerplanar_on_seeded_graphs_of_six_to_eight_vertices():
+    rng = random.Random(2024)
+    answers = set()
+    for _ in range(200):
+        n, edges = H.random_graph(rng, rng.randint(6, 8), rng.uniform(0.2, 0.5))
+        answers.add(_check_outerplanar(n, edges))
+    assert answers == {True, False}
+
+
+def test_is_outerplanar_across_blocks():
+    # two blocks sharing cut vertex 2: a square with a chord, and a triangle
+    two_blocks = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (2, 4), (4, 5), (2, 5)]
+    assert _check_outerplanar(6, two_blocks)
+    # a pentagon with pendant trees hanging off two of its vertices
+    pendants = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 5), (5, 6), (5, 7), (3, 8)]
+    assert _check_outerplanar(9, pendants)
+    # K_4 on 0..3 as one block, a triangle through cut vertex 3, a pendant path
+    hidden_k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                 (3, 4), (4, 5), (3, 5), (5, 6), (6, 7)]
+    assert not _check_outerplanar(8, hidden_k4)
+    # K_{2,3} on {0, 1} x {2, 3, 4} as one block between two outerplanar ones
+    hidden_k23 = [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4),
+                  (4, 5), (5, 6), (4, 6), (0, 7), (7, 8)]
+    assert not _check_outerplanar(9, hidden_k23)
 
 
 def test_outerplanar_fixed_cases():
