@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .embedding import PlaneDrawing
 from .errors import FormatError, MalformedRotationError
 from .formulas import BoundReport, bound_report
-from .graph import Graph, edges_connected, normalize_edge
+from .graph import Graph, LineReader, edges_connected, read_graph
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,10 @@ def verify_drawing(host: Graph, d: PlaneDrawing) -> AdmissibilityReport:
         return AdmissibilityReport(
             ok=False, connected=True, euler_ok=False, face_count=face_count
         )
+    drawn, masks = d.drawn, d.face_masks
     violating = tuple(
-        e for e in sorted(host.edges - d.drawn)
-        if not (d.vertex_faces[e[0]] & d.vertex_faces[e[1]])
+        e for e in host.sorted_edges
+        if e not in drawn and not masks[e[0]] & masks[e[1]]
     )
     return AdmissibilityReport(
         ok=not violating,
@@ -141,7 +142,7 @@ def verify_certificate(c: UncrossedCertificate) -> CertificateReport:
         for e in d.drawn:
             if e in c.host.edges:
                 witness.setdefault(e, i)
-    uncovered = tuple(sorted(c.host.edges - set(witness)))
+    uncovered = tuple(e for e in c.host.sorted_edges if e not in witness)
     ok = all(r.ok for r in reports) and not uncovered and c.size >= 1
     return CertificateReport(
         ok=ok,
@@ -177,6 +178,12 @@ def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:
 # outer: <u>-><v>    (optional)
 # drawing 2
 # ...
+#
+# Parsing goes through graph.LineReader: blank lines and '#' comments are
+# skipped, and each block of m (or k) edge lines must list distinct edges,
+# '1 0' counting as '0 1'. The outer dart must be a drawn dart; the verifier
+# reports one that is not as a malformed drawing. Verification reads
+# cofaciality from PlaneDrawing.face_masks, one int per vertex.
 
 
 def serialize_certificate(c: UncrossedCertificate) -> str:
@@ -203,123 +210,51 @@ def serialize_drawing(d: PlaneDrawing) -> str:
     return serialize_certificate(UncrossedCertificate(d.host, (d,)))
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.lines = [
-            ln.strip() for ln in text.splitlines()
-            if ln.strip() and not ln.strip().startswith("#")
-        ]
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def take(self) -> str:
-        ln = self.peek()
-        if ln is None:
-            raise FormatError("unexpected end of file")
-        self.pos += 1
-        return ln
-
-
-def _ints(line: str, count: int, what: str) -> list:
-    parts = line.split()
-    if len(parts) != count:
-        raise FormatError(f"expected {what}, got {line!r}")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise FormatError(f"non-integer in {what}: {line!r}") from None
-
-
 def parse_certificate(text: str) -> UncrossedCertificate:
-    cur = _Cursor(text)
-    if cur.take() != "graph":
-        raise FormatError("certificate must start with a 'graph' section")
-    n, m = _ints(cur.take(), 2, "'n m' header")
-    if n < 0 or m < 0:
-        raise FormatError("negative counts in graph header")
-    edges = set()
-    for _ in range(m):
-        u, v = _ints(cur.take(), 2, "edge line")
-        edges.add((u, v))
-    if len(edges) != m:
-        raise FormatError("duplicate edges in graph section")
-    black_count = None
-    ln = cur.peek()
-    if ln is not None and ln.startswith("colors"):
-        cur.take()
-        parts = ln.split()
-        if len(parts) != 3:
-            raise FormatError(f"bad colors line {ln!r}")
-        try:
-            b, w = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError(f"non-integer colors line {ln!r}") from None
-        if b + w != n:
-            raise FormatError(f"colors {b}+{w} do not sum to n={n}")
-        black_count = b
-    try:
-        host = Graph(n, frozenset(edges), black_count=black_count)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    r = LineReader(text)
+    if r.take() != "graph":
+        raise r.error("certificate must start with a 'graph' section")
+    host = read_graph(r)
+    n = host.n
     drawings = []
-    while cur.peek() is not None:
-        head = cur.take()
-        parts = head.split()
-        if len(parts) != 2 or parts[0] != "drawing":
-            raise FormatError(f"expected 'drawing <i>', got {head!r}")
-        try:
-            ordinal = int(parts[1])
-        except ValueError:
-            raise FormatError(f"bad drawing ordinal in {head!r}") from None
+    while r.peek() is not None:
+        (ordinal,) = r.ints("'drawing <i>'", "drawing", 1)
         if ordinal != len(drawings) + 1:
-            raise FormatError(
+            raise r.error(
                 f"drawing sections out of order: found {ordinal}, "
                 f"expected {len(drawings) + 1}"
             )
-        eh = cur.take().split()
-        if len(eh) != 2 or eh[0] != "edges":
-            raise FormatError("expected 'edges <count>' after drawing header")
-        try:
-            k = int(eh[1])
-        except ValueError:
-            raise FormatError("bad edge count in drawing section") from None
-        drawn = set()
-        for _ in range(k):
-            u, v = _ints(cur.take(), 2, "drawn edge line")
-            drawn.add(normalize_edge(u, v))
-        if cur.take() != "rotation":
-            raise FormatError("expected 'rotation' block in drawing section")
+        (k,) = r.ints("'edges <count>' after the drawing header", "edges", 1)
+        drawn = r.pairs(k, "drawn edge line")
+        if r.take() != "rotation":
+            raise r.error("expected 'rotation' block in drawing section")
         rotation = []
         for v in range(n):
-            ln = cur.take()
+            ln = r.take()
             label, _, rest = ln.partition(":")
             try:
-                if int(label) != v:
-                    raise FormatError(
-                        f"rotation lines out of order: found {label!r}, expected {v}"
-                    )
+                found = int(label)
             except ValueError:
-                raise FormatError(f"bad rotation line {ln!r}") from None
+                raise r.error(f"bad rotation line {ln!r}") from None
+            if found != v:
+                raise r.error(f"rotation lines out of order: found {label!r}, expected {v}")
             try:
-                rotation.append(tuple(int(p) for p in rest.split()))
+                rotation.append(tuple(map(int, rest.split())))
             except ValueError:
-                raise FormatError(f"non-integer neighbor in {ln!r}") from None
+                raise r.error(f"non-integer neighbor in {ln!r}") from None
         outer = None
-        ln = cur.peek()
+        ln = r.peek()
         if ln is not None and ln.startswith("outer:"):
-            cur.take()
-            spec = ln[len("outer:"):].strip()
-            a, sep, b = spec.partition("->")
+            r.take()
+            a, sep, b = ln[len("outer:"):].partition("->")
             if not sep:
-                raise FormatError(f"bad outer line {ln!r}")
+                raise r.error(f"bad outer line {ln!r}")
             try:
                 outer = (int(a), int(b))
             except ValueError:
-                raise FormatError(f"non-integer outer dart in {ln!r}") from None
+                raise r.error(f"non-integer outer dart in {ln!r}") from None
         try:
-            drawings.append(PlaneDrawing(host, frozenset(drawn), rotation, outer))
+            drawings.append(PlaneDrawing(host, drawn, rotation, outer))
         except ValueError as exc:
             raise FormatError(str(exc)) from None
     if not drawings:

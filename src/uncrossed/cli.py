@@ -30,7 +30,7 @@ from .errors import (
     NotOuterplanarError,
     OracleCapError,
 )
-from .graph import Graph, normalize_edge, parse_edge_list
+from .graph import Graph, LineReader, parse_edge_list
 from .render import FORMATS, LAYOUTS, RenderSpec, render
 
 # largest host, in edges, that construct and reduce will build: ten times
@@ -58,41 +58,33 @@ def _load_graph(path: str) -> Graph:
     return parse_edge_list(_read(path))
 
 
-def _emit(args, payload: dict, lines: list) -> None:
+def _emit(args, payload, lines) -> None:
+    """Print ``payload()`` as JSON under --json, else ``lines()`` unless
+    --quiet; neither is built when it would not be printed."""
     if args.json:
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(payload(), sort_keys=True))
     elif not args.quiet:
-        for ln in lines:
+        for ln in lines():
             print(ln)
 
 
 def _parse_parts_file(text: str) -> list:
     """Edge parts: 'part <i>' headers, then 'u v' lines."""
+    r = LineReader(text)
     parts: list = []
-    current: list | None = None
-    for raw in text.splitlines():
-        ln = raw.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        if ln.startswith("part"):
-            fields = ln.split()
-            if len(fields) != 2 or fields[1] != str(len(parts) + 1):
-                raise FormatError(f"expected 'part {len(parts) + 1}', got {ln!r}")
-            current = []
-            parts.append(current)
-            continue
-        if current is None:
-            raise FormatError(f"edge line {ln!r} before any 'part' header")
-        fields = ln.split()
-        if len(fields) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        try:
-            current.append(normalize_edge(int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise FormatError(f"non-integer edge line {ln!r}") from None
+    if r.peek() is not None and not r.peek().startswith("part"):
+        raise r.error(f"edge line {r.peek()!r} before any 'part' header", r.pos)
+    while r.peek() is not None:
+        what = f"'part {len(parts) + 1}'"
+        if r.ints(what, "part", 1) != [len(parts) + 1]:
+            raise r.error(f"expected {what}, got {r.lines[r.pos - 1]!r}")
+        k = r.pos
+        while k < len(r.lines) and not r.lines[k].startswith("part"):
+            k += 1
+        parts.append(r.pairs(k - r.pos, "edge line"))
     if not parts:
         raise FormatError("parts file contains no parts")
-    return [frozenset(p) for p in parts]
+    return parts
 
 
 def _want_sizes(args, count: int) -> list:
@@ -137,7 +129,7 @@ def _cmd_formula(args) -> int:
         f"h({name}) = {vals['h']} [{tags['h']}]",
         f"theta_o({name}) = {vals['theta_o']} [{tags['theta_o']}]",
     ]
-    _emit(args, {"graph": name, **vals}, lines)
+    _emit(args, lambda: {"graph": name, **vals}, lambda: lines)
     return 0
 
 
@@ -152,7 +144,7 @@ def _cmd_bound(args) -> int:
         lines.append(f"exact = {rep.exact}")
     payload = {"graph": rep.graph_label, "lower": rep.lower, "upper": rep.upper,
                "exact": rep.exact, "provenance": list(rep.provenance)}
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0
 
 
@@ -203,23 +195,27 @@ def _cmd_verify(args) -> int:
     bounds = certificate_size_vs_bounds(cert)
     # only a valid certificate is a collection whose size can be optimal
     optimal = rep.ok and bounds.optimal
-    lines = rep.lines()
-    lines.append(
-        f"size {cert.size} vs lower bound {bounds.lower}"
-        + (" (optimal)" if optimal else "")
-    )
-    payload = {
-        "ok": rep.ok,
-        "size": cert.size,
-        "lower": bounds.lower,
-        "optimal": optimal,
-        "drawings": [
-            {"ok": r.ok, "malformed": r.malformed,
-             "violating_edges": [list(e) for e in r.violating_edges]}
-            for r in rep.drawing_reports
-        ],
-        "uncovered": [list(e) for e in rep.uncovered],
-    }
+
+    def lines():
+        return rep.lines() + [
+            f"size {cert.size} vs lower bound {bounds.lower}"
+            + (" (optimal)" if optimal else "")
+        ]
+
+    def payload():
+        return {
+            "ok": rep.ok,
+            "size": cert.size,
+            "lower": bounds.lower,
+            "optimal": optimal,
+            "drawings": [
+                {"ok": r.ok, "malformed": r.malformed,
+                 "violating_edges": [list(e) for e in r.violating_edges]}
+                for r in rep.drawing_reports
+            ],
+            "uncovered": [list(e) for e in rep.uncovered],
+        }
+
     _emit(args, payload, lines)
     return 0 if rep.ok else 1
 
@@ -229,17 +225,17 @@ def _cmd_oracle(args) -> int:
     family = orc.enumerate_admissible(g, cap=args.cap)
     if args.quantity == "h":
         val = orc.exact_h(g, family=family)
-        _emit(args, {"h": val}, [f"h = {val}"])
+        _emit(args, lambda: {"h": val}, lambda: [f"h = {val}"])
         return 0
     if args.quantity == "ecr":
         val = orc.exact_ecr(g, family=family)
-        _emit(args, {"ecr": val}, [f"ecr = {val}"])
+        _emit(args, lambda: {"ecr": val}, lambda: [f"ecr = {val}"])
         return 0
     if args.quantity == "unc":
         val, cert = orc.exact_unc(g, family=family)
         if args.emit_cert:
             _write_out(serialize_certificate(cert), args.emit_cert)
-        _emit(args, {"unc": val}, [f"unc = {val}"])
+        _emit(args, lambda: {"unc": val}, lambda: [f"unc = {val}"])
         return 0
     # mus
     if args.k is None:
@@ -250,7 +246,7 @@ def _cmd_oracle(args) -> int:
     if ok:
         payload["witness"] = [list(e) for e in sorted(witness)]
         lines.append("witness: " + " ".join(f"({u},{v})" for u, v in sorted(witness)))
-    _emit(args, payload, lines)
+    _emit(args, lambda: payload, lambda: lines)
     return 0 if ok else 1
 
 
@@ -267,12 +263,7 @@ def _cmd_reduce(args) -> int:
     lines.append(f"# center vertex: {gm['center']}")
     if inst.kind == "ecr":
         lines.append(f"# parallel paths per source edge: {gm['paths_per_edge']}")
-    payload = {
-        "kind": inst.kind,
-        "k": inst.k,
-        "budget": inst.budget,
-        "target": {"n": inst.target.n, "edges": [list(e) for e in inst.target.sorted_edges]},
-    }
+    payload = {"kind": inst.kind, "k": inst.k, "budget": inst.budget}
     verified = None
     if args.witness is not None:
         parts = _parse_parts_file(_read(args.witness))
@@ -302,7 +293,12 @@ def _cmd_reduce(args) -> int:
         from .graph import format_edge_list
 
         lines.append(format_edge_list(inst.target).rstrip("\n"))
-    _emit(args, payload, lines)
+    _emit(
+        args,
+        lambda: {**payload, "target": {
+            "n": inst.target.n, "edges": [list(e) for e in inst.target.sorted_edges]}},
+        lambda: lines,
+    )
     if verified is False:
         return 1
     return 0

@@ -20,8 +20,8 @@ from math import ceil
 
 from .certify import UncrossedCertificate
 from .embedding import PlaneDrawing, is_outerplanar, is_planar_graph, outerplanar_extension
-from .errors import DecompositionNotFound, FormatError
-from .graph import Graph, complete_bipartite, complete_graph, normalize_edge
+from .errors import DecompositionNotFound
+from .graph import Graph, LineReader, complete_bipartite, complete_graph, normalize_edge
 
 
 # --- wheels ----------------------------------------------------------------
@@ -281,9 +281,13 @@ def embed_double_cycle(c: DoubleCycle) -> PlaneDrawing:
     big faces border every black, so all undrawn black-white pairs are
     cofacial. Requires the cycle to pass through all m blacks.
     """
+    return _embed_double_cycle(c, complete_bipartite(c.m, c.n))
+
+
+def _embed_double_cycle(c: DoubleCycle, host: Graph) -> PlaneDrawing:
+    """embed_double_cycle on a prebuilt K_{m,n}, shared by every cycle of a cover."""
     if set(c.black_cycle) != set(range(c.m)):
         raise ValueError("embedding needs the cycle to visit every black")
-    host = complete_bipartite(c.m, c.n)
     k = c.k
     used = {w for q in c.quad_whites for w in q}
     used.update(w for L in c.leaves for w in L)
@@ -458,7 +462,7 @@ def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
         cover = double_cycle_cover_minus_one(m)
     else:
         cover = double_cycle_cover(m, n)
-    drawings = tuple(embed_double_cycle(c) for c in cover.cycles)
+    drawings = tuple(_embed_double_cycle(c, host) for c in cover.cycles)
     return UncrossedCertificate(host, drawings)
 
 
@@ -488,79 +492,41 @@ def serialize_cover(c: DoubleCycleCover) -> str:
 
 
 def parse_cover(text: str) -> DoubleCycleCover:
-    lines = [
-        ln.strip() for ln in text.splitlines()
-        if ln.strip() and not ln.strip().startswith("#")
-    ]
-    pos = 0
-
-    def take() -> str:
-        nonlocal pos
-        if pos >= len(lines):
-            raise FormatError("unexpected end of cover file")
-        pos += 1
-        return lines[pos - 1]
-
-    head = take().split()
-    if len(head) != 3 or head[0] != "cover":
-        raise FormatError("cover file must start with 'cover <m> <n>'")
-    try:
-        m, n = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError("non-integer sizes in cover header") from None
-    kind_line = take().split()
+    r = LineReader(text)
+    m, n = r.ints("'cover <m> <n>'", "cover", 2)
+    if min(m, n) < 1:
+        raise r.error("cover sizes must be positive")
+    kind_line = r.take().split()
     if len(kind_line) != 2 or kind_line[0] != "kind":
-        raise FormatError("expected 'kind block|minus-one'")
+        raise r.error("expected 'kind block|minus-one'")
     kind = kind_line[1]
     if kind not in ("block", "minus-one"):
-        raise FormatError(f"unknown cover kind {kind!r}")
-    count_line = take().split()
-    if len(count_line) != 2 or count_line[0] != "cycles":
-        raise FormatError("expected 'cycles <count>'")
-    try:
-        count = int(count_line[1])
-    except ValueError:
-        raise FormatError("non-integer cycle count") from None
+        raise r.error(f"unknown cover kind {kind!r}")
+    (count,) = r.ints("'cycles <count>'", "cycles", 1)
     cycles = []
     starts = []
     seqs = []
     for i in range(count):
-        head = take().split()
-        if len(head) != 2 or head[0] != "cycle" or head[1] != str(i + 1):
-            raise FormatError(f"expected 'cycle {i + 1}'")
+        if r.ints(f"'cycle {i + 1}'", "cycle", 1) != [i + 1]:
+            raise r.error(f"expected 'cycle {i + 1}'")
         if kind == "block":
-            sline = take().split()
-            if len(sline) != 2 or sline[0] != "start":
-                raise FormatError("expected 'start <s>'")
-            dline = take().split()
-            if len(dline) < 2 or dline[0] != "degrees":
-                raise FormatError("expected 'degrees <d...>'")
-            try:
-                s = int(sline[1])
-                degrees = tuple(int(d) for d in dline[1:])
-            except ValueError:
-                raise FormatError("non-integer cycle parameters") from None
+            (s,) = r.ints("'start <s>'", "start", 1)
+            degrees = tuple(r.ints("'degrees <d...>'", "degrees"))
             if len(degrees) != m or sum(degrees) != 2 * m + n:
-                raise FormatError("degree sequence does not fit the host")
-            cycles.append(_block_cycle(m, n, degrees, s))
-            starts.append(s)
-            seqs.append(degrees)
+                raise r.error("degree sequence does not fit the host")
         else:
-            sline = take().split()
-            if len(sline) != 2 or sline[0] != "shift":
-                raise FormatError("expected 'shift <s>'")
-            try:
-                shift = int(sline[1])
-            except ValueError:
-                raise FormatError("non-integer shift") from None
+            (s,) = r.ints("'shift <s>'", "shift", 1)
             if n != 2 * m - 1:
-                raise FormatError("minus-one cover requires n = 2m-1")
-            cycles.append(_minus_one_cycle(m, shift))
-            starts.append(shift)
-            seqs.append(tuple(3 if p in (0, m - 1) else 4 for p in range(m)))
-    if pos != len(lines):
-        raise FormatError(f"unexpected trailing line {lines[pos]!r}")
-    try:
-        return DoubleCycleCover(m, n, kind, tuple(cycles), tuple(starts), tuple(seqs))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+                raise r.error("minus-one cover requires n = 2m-1")
+            degrees = tuple(3 if p in (0, m - 1) else 4 for p in range(m))
+        try:
+            cycles.append(
+                _block_cycle(m, n, degrees, s) if kind == "block" else _minus_one_cycle(m, s)
+            )
+        except ValueError as exc:
+            raise r.error(str(exc)) from None
+        starts.append(s)
+        seqs.append(degrees)
+    if r.peek() is not None:
+        raise r.error(f"unexpected trailing line {r.peek()!r}", r.pos)
+    return DoubleCycleCover(m, n, kind, tuple(cycles), tuple(starts), tuple(seqs))

@@ -43,11 +43,6 @@ class Face:
     length: int
 
 
-def _cyclic_successor(seq: tuple, item: int) -> int:
-    i = seq.index(item)
-    return seq[(i + 1) % len(seq)]
-
-
 def trace_rotation(rotation: dict) -> list[Face]:
     """Trace all faces of a rotation system given as vertex -> neighbor tuple.
 
@@ -69,9 +64,9 @@ def trace_rotation(rotation: dict) -> list[Face]:
                 )
     for v in sorted(rotation):
         order = tuple(rotation[v])
-        for u in order:
+        for i, u in enumerate(order):
             # dart (u, v) continues to (v, successor of u around v)
-            succ[(u, v)] = (v, _cyclic_successor(order, u))
+            succ[(u, v)] = (v, order[(i + 1) % len(order)])
     faces: list[Face] = []
     seen: set[Dart] = set()
     for v in sorted(rotation):
@@ -97,9 +92,13 @@ class PlaneDrawing:
     """A drawn edge subset of a host graph plus a rotation system.
 
     ``rotation`` is indexed by vertex id; entry v lists the drawn neighbors of
-    v in clockwise order. ``outer_dart``, when set, designates the face whose
-    boundary contains that dart as the outer one (used by rendering; face
-    structure itself is spherical and needs no outer choice).
+    v in clockwise order. ``outer_dart``, when set, must be a drawn dart; it
+    designates the face whose boundary contains it as the outer one (used by
+    rendering; face structure itself is spherical and needs no outer choice).
+
+    Faces are traced once and cached. ``face_masks`` holds each vertex's faces
+    as one int bitmask, so the verifier, ``cofacial`` and the renderer test
+    whether two vertices share a face with a single ``&``.
 
     Construction only checks cheap shape constraints so that structurally
     broken drawings can still be represented and then *reported* by the
@@ -134,6 +133,10 @@ class PlaneDrawing:
         for u, v in sorted(self.drawn):
             if (u, v) not in self.host.edges:
                 errs.append(f"drawn edge ({u}, {v}) is not a host edge")
+        if self.outer_dart is not None:
+            u, v = self.outer_dart
+            if normalize_edge(u, v) not in self.drawn:
+                errs.append(f"outer dart {self.outer_dart} is not a drawn dart")
         expected = [set() for _ in range(self.host.n)]
         for u, v in self.drawn:
             if u < self.host.n and v < self.host.n:
@@ -156,13 +159,18 @@ class PlaneDrawing:
         return tuple(trace_rotation(self.rotation_map()))
 
     @cached_property
-    def vertex_faces(self) -> dict:
-        """vertex -> frozenset of incident face ids."""
-        idx: dict[int, set[int]] = {v: set() for v in range(self.host.n)}
+    def face_masks(self) -> tuple:
+        """Per vertex, an int with bit f set when face f passes through it.
+
+        Two vertices are cofacial iff their masks share a bit, and the lowest
+        shared bit is the lowest id of a face they share.
+        """
+        masks = [0] * self.host.n
         for f in self.faces:
+            bit = 1 << f.id
             for v in f.vertices:
-                idx[v].add(f.id)
-        return {v: frozenset(s) for v, s in idx.items()}
+                masks[v] |= bit
+        return tuple(masks)
 
     def outer_face(self) -> Face | None:
         if self.outer_dart is None:
@@ -195,7 +203,7 @@ def is_planar_embedding(d: PlaneDrawing) -> bool:
 
 def cofacial(d: PlaneDrawing, u: int, v: int) -> bool:
     """True iff u and v lie on a common face of the drawing."""
-    return bool(d.vertex_faces[u] & d.vertex_faces[v])
+    return bool(d.face_masks[u] & d.face_masks[v])
 
 
 def is_planar_graph(g: Graph) -> tuple:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import FormatError
@@ -30,25 +31,30 @@ class Graph:
     black_count: int | None = None
 
     def __post_init__(self):
-        if self.n < 0:
+        n = self.n
+        if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = set()
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge {e} out of range for n={self.n}")
-            norm.add(normalize_edge(u, v))
-        object.__setattr__(self, "edges", frozenset(norm))
+        # builders and parsers pass normalized frozensets: check them in one
+        # pass and keep them; anything else is normalized edge by edge
+        if not (isinstance(self.edges, frozenset)
+                and all(0 <= u < v < n for u, v in self.edges)):
+            norm = set()
+            for e in self.edges:
+                u, v = e
+                if u == v:
+                    raise ValueError(f"loop at vertex {u}")
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge {e} out of range for n={n}")
+                norm.add((u, v) if u < v else (v, u))
+            object.__setattr__(self, "edges", frozenset(norm))
         if self.black_count is not None:
             b = self.black_count
-            if not 0 <= b <= self.n:
+            if not 0 <= b <= n:
                 raise ValueError(f"black_count {b} out of range")
-            for u, v in self.edges:
-                # one endpoint in each class
-                if (u < b) == (v < b):
-                    raise ValueError(f"edge ({u}, {v}) stays inside one color class")
+            # one endpoint in each class
+            bad = next((e for e in self.edges if (e[0] < b) == (e[1] < b)), None)
+            if bad is not None:
+                raise ValueError(f"edge {bad} stays inside one color class")
 
     @property
     def m(self) -> int:
@@ -56,7 +62,9 @@ class Graph:
 
     @cached_property
     def sorted_edges(self) -> tuple:
-        return tuple(sorted(self.edges))
+        # two stable passes on int keys beat one pass comparing tuples
+        by_v = sorted(self.edges, key=itemgetter(1))
+        return tuple(sorted(by_v, key=itemgetter(0)))
 
     @cached_property
     def edge_index(self) -> dict:
@@ -150,58 +158,126 @@ def edges_connected(n: int, edges: frozenset) -> bool:
     return len(connected_components(n, edges)) == 1
 
 
+class LineReader:
+    """The content lines of a text file, read front to back.
+
+    Every file format of the package goes through this reader. Each line is
+    stripped once; blank lines and ``#`` comments are dropped. Physical line
+    numbers are recounted only to word an error message.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+        self.pos = 0
+
+    def error(self, message: str, index: int | None = None) -> FormatError:
+        """A FormatError that names the physical line of content line
+        ``index`` (by default the line taken last)."""
+        if index is None:
+            index = self.pos - 1
+        if 0 <= index < len(self.lines):
+            kept = 0
+            for no, raw in enumerate(self.text.splitlines(), 1):
+                ln = raw.strip()
+                if ln and ln[0] != "#":
+                    if kept == index:
+                        return FormatError(f"line {no}: {message}")
+                    kept += 1
+        return FormatError(message)
+
+    def peek(self) -> str | None:
+        return self.lines[self.pos] if self.pos < len(self.lines) else None
+
+    def take(self) -> str:
+        if self.pos >= len(self.lines):
+            raise FormatError("unexpected end of file")
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def ints(self, what: str, keyword: str | None = None, count: int | None = None) -> list:
+        """The next line as ``keyword`` (when given) followed by integers:
+        exactly ``count`` of them, or at least one when count is None."""
+        ln = self.take()
+        fields = ln.split()
+        if keyword is not None:
+            if fields[0] != keyword:
+                raise self.error(f"expected {what}, got {ln!r}")
+            fields = fields[1:]
+        if (len(fields) != count) if count is not None else not fields:
+            raise self.error(f"expected {what}, got {ln!r}")
+        try:
+            return [int(f) for f in fields]
+        except ValueError:
+            raise self.error(f"non-integer in {what}: {ln!r}") from None
+
+    def pairs(self, k: int, what: str) -> frozenset:
+        """The next k lines as ``u v`` edges, each normalized to u < v; they
+        must be k distinct edges."""
+        start = self.pos
+        if k < 0:
+            raise self.error(f"negative number of {what}s")
+        if len(self.lines) - start < k:
+            raise FormatError(f"expected {k} {what}s, found {len(self.lines) - start}")
+        try:
+            norm = self._bulk_pairs(k)
+            self.pos = start + k
+        except ValueError:
+            # re-read line by line, which names the first bad line
+            norm = [normalize_edge(*self.ints(what, count=2)) for _ in range(k)]
+        edges = frozenset(norm)
+        if len(edges) != k:
+            seen = set()
+            for i, e in enumerate(norm):
+                if e in seen:
+                    raise self.error(f"duplicate edges: {e} is listed twice", start + i)
+                seen.add(e)
+        return edges
+
+    def _bulk_pairs(self, k: int) -> list:
+        """The next k lines parsed in one go as normalized pairs; ValueError
+        when one of them is not two integers."""
+        # ' ; ' marks the line ends: k well-formed lines split into
+        # u v ; u v ; ... u v, and int() refuses a ';' anywhere else
+        tokens = " ; ".join(self.lines[self.pos : self.pos + k]).split()
+        if len(tokens) != 3 * k - 1 or tokens[2::3].count(";") != k - 1:
+            raise ValueError("not k lines of two fields")
+        pairs = zip(map(int, tokens[0::3]), map(int, tokens[1::3]))
+        return [(u, v) if u < v else (v, u) for u, v in pairs]
+
+
+def read_graph(r: LineReader) -> Graph:
+    """An ``n m`` header, m edge lines and an optional ``colors b w`` line."""
+    n, m = r.ints("'n m' header", count=2)
+    if n < 0 or m < 0:
+        raise r.error("negative counts in header")
+    edges = r.pairs(m, "edge line")
+    black_count = None
+    ln = r.peek()
+    if ln is not None and ln.startswith("colors"):
+        b, w = r.ints("'colors <b> <w>'", "colors", 2)
+        if b + w != n:
+            raise r.error(f"colors {b}+{w} do not sum to n={n}")
+        black_count = b
+    try:
+        return Graph(n, edges, black_count=black_count)
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the plain edge-list format.
 
     Line 1: ``n m``. Then m lines ``u v``. An optional final line
     ``colors b w`` declares the canonical bipartition sizes.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    r = LineReader(text)
+    if r.peek() is None:
         raise FormatError("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise FormatError(f"expected 'n m' header, got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise FormatError(f"non-integer header {lines[0]!r}") from None
-    if n < 0 or m < 0:
-        raise FormatError("negative counts in header")
-    if len(lines) < 1 + m:
-        raise FormatError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = set()
-    for ln in lines[1 : 1 + m]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"non-integer edge line {ln!r}") from None
-        edges.add((u, v))
-    if len(edges) != m:
-        raise FormatError("duplicate edges in list")
-    black_count = None
-    rest = lines[1 + m :]
-    if rest:
-        if len(rest) != 1 or not rest[0].startswith("colors"):
-            raise FormatError(f"unexpected trailing lines: {rest[0]!r}")
-        parts = rest[0].split()
-        if len(parts) != 3:
-            raise FormatError(f"bad colors line {rest[0]!r}")
-        try:
-            b, w = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise FormatError(f"non-integer colors line {rest[0]!r}") from None
-        if b + w != n:
-            raise FormatError(f"colors {b}+{w} do not sum to n={n}")
-        black_count = b
-    try:
-        return Graph(n, frozenset(edges), black_count=black_count)
-    except ValueError as exc:
-        raise FormatError(str(exc)) from None
+    g = read_graph(r)
+    if r.peek() is not None:
+        raise r.error(f"unexpected trailing line {r.peek()!r}", r.pos)
+    return g
 
 
 def format_edge_list(g: Graph) -> str:

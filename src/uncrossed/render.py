@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .certify import UncrossedCertificate
 from .embedding import PlaneDrawing
 
@@ -140,6 +138,8 @@ def _double_cycle_positions(d: PlaneDrawing) -> dict | None:
 
 
 def _tutte_positions(d: PlaneDrawing) -> dict:
+    import numpy as np  # only this layout needs it; keeps the CLI import light
+
     n = d.host.n
     if not d.drawn:
         return _circle_positions(d)
@@ -152,10 +152,8 @@ def _tutte_positions(d: PlaneDrawing) -> dict:
     outer = d.outer_face() if d.outer_dart is not None else None
     if outer is None:
         outer = max(faces, key=lambda f: (len(f.vertices), -f.id))
-    boundary = []
-    for u, _ in outer.walk:
-        if u not in boundary:
-            boundary.append(u)
+    # walk order, first visits only
+    boundary = list(dict.fromkeys(u for u, _ in outer.walk))
     pos = {}
     k = len(boundary)
     for j, v in enumerate(boundary):
@@ -223,18 +221,23 @@ def _fit(pos: dict, width: int, margin: float = 34.0) -> dict:
     }
 
 
-def _undrawn_route(d: PlaneDrawing, u: int, v: int, pos: dict):
-    """Control point through a shared face, or None when there is none."""
-    try:
-        shared = d.vertex_faces[u] & d.vertex_faces[v]
-    except Exception:
-        return None
+def _undrawn(d: PlaneDrawing) -> list:
+    """Undrawn host edges in sorted order."""
+    return [e for e in d.host.sorted_edges if e not in d.drawn]
+
+
+def _undrawn_route(d: PlaneDrawing, u: int, v: int, pos: dict, centroids: dict):
+    """Control point through the lowest shared face, or None when there is
+    none. ``centroids`` caches face centroids by face id for one panel."""
+    shared = d.face_masks[u] & d.face_masks[v]
     if not shared:
         return None
-    face = d.faces[min(shared)]
-    verts = sorted(face.vertices)
-    cx = sum(pos[w][0] for w in verts) / len(verts)
-    cy = sum(pos[w][1] for w in verts) / len(verts)
+    fid = (shared & -shared).bit_length() - 1
+    if fid not in centroids:
+        verts = sorted(d.faces[fid].vertices)
+        centroids[fid] = (sum(pos[w][0] for w in verts) / len(verts),
+                          sum(pos[w][1] for w in verts) / len(verts))
+    cx, cy = centroids[fid]
     mx, my = (pos[u][0] + pos[v][0]) / 2, (pos[u][1] + pos[v][1]) / 2
     return ((mx + cx) / 2, (my + cy) / 2)
 
@@ -248,9 +251,10 @@ def _svg_panel(d: PlaneDrawing, spec: RenderSpec, offset_x: float, title: str) -
             f'<text x="{w / 2:.1f}" y="20" text-anchor="middle" '
             f'font-size="13" fill="#444">{title}</text>'
         )
-    for u, v in sorted(d.host.edges - d.drawn):
+    centroids: dict = {}
+    for u, v in _undrawn(d):
         (x1, y1), (x2, y2) = pos[u], pos[v]
-        ctrl = _undrawn_route(d, u, v, pos)
+        ctrl = _undrawn_route(d, u, v, pos, centroids)
         if ctrl is None:
             parts.append(
                 f'<line x1="{x1:.1f}" y1="{y1:.1f}" x2="{x2:.1f}" y2="{y2:.1f}" '
@@ -323,7 +327,7 @@ def _render_dot(drawings, spec: RenderSpec) -> str:
             out.append(f'  {v} [pos="{x / 48:.2f},{-y / 48:.2f}!"{style}];')
         for u, v in sorted(d.drawn):
             out.append(f"  {u} -- {v} [penwidth=2];")
-        for u, v in sorted(d.host.edges - d.drawn):
+        for u, v in _undrawn(d):
             out.append(f'  {u} -- {v} [style=dashed, penwidth=0.5, color="#9a9996"];')
         out.append("}")
     return "\n".join(out) + "\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -306,3 +307,86 @@ def test_oversized_reduction_refused_up_front(tmp_path):
     code, out, err = run_cap("reduce", "ecr", "--graph", str(g), "-k", "1")
     assert code == 2
     assert err == "error: host would have 1980100 edges, more than the limit of 1000000\n"
+
+
+# each lists edge 0 1 twice, once reversed
+@pytest.mark.parametrize("command, text", [
+    ("bound", "2 2\n0 1\n1 0\n"),
+    ("verify", "graph\n2 2\n0 1\n1 0\n"
+               "drawing 1\nedges 1\n0 1\nrotation\n0: 1\n1: 0\n"),
+    ("verify", "graph\n2 1\n0 1\n"
+               "drawing 1\nedges 2\n0 1\n1 0\nrotation\n0: 1\n1: 0\n"),
+], ids=["edge-list", "certificate-graph", "certificate-drawing"])
+def test_reversed_duplicate_edge_refused(tmp_path, command, text):
+    p = tmp_path / "dup.txt"
+    p.write_text(text)
+    flag = "--graph" if command == "bound" else "--cert"
+    code, out, err = run_cap(command, flag, str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line ") and "duplicate edges" in err
+
+
+def test_rotation_lines_out_of_order_reported(tmp_path):
+    p = tmp_path / "swapped.cert"
+    p.write_text("graph\n2 1\n0 1\ndrawing 1\nedges 1\n0 1\nrotation\n1: 0\n0: 1\n")
+    code, out, err = run_cap("verify", "--cert", str(p))
+    assert code == 2
+    assert err == "error: line 8: rotation lines out of order: found '1', expected 0\n"
+
+
+def test_outer_dart_off_the_drawing_is_malformed(tmp_path):
+    p = tmp_path / "outer.cert"
+    p.write_text(
+        "graph\n3 3\n0 1\n0 2\n1 2\ndrawing 1\nedges 3\n0 1\n0 2\n1 2\n"
+        "rotation\n0: 1 2\n1: 2 0\n2: 0 1\nouter: 0->5\n"
+    )
+    code, out, err = run_cap("verify", "--cert", str(p))
+    assert code == 1
+    assert "  malformed: outer dart (0, 5) is not a drawn dart" in out.splitlines()
+    assert "verdict: INVALID" in out
+    code, out, err = run_cap("render", "--cert", str(p))
+    assert code == 2
+    assert "outer dart (0, 5) is not a drawn dart" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    _, env = _cli_command()
+    code = "import sys, uncrossed.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_ecr_witness_render_pinned(tmp_path, k5_file):
+    # K_5 with an outerplanar part of 7 edges: a 106-vertex target drawn by
+    # the barycentric layout, 34 undrawn edges routed through shared faces
+    parts = tmp_path / "k5.parts"
+    parts.write_text("part 1\n0 1\n1 2\n2 3\n3 4\n0 4\n0 2\n0 3\n")
+    cert, svg = str(tmp_path / "e.cert"), str(tmp_path / "e.svg")
+    code, out, err = run_cap("reduce", "ecr", "--graph", k5_file, "-k", "7",
+                             "--witness", str(parts), "--emit-cert", cert)
+    assert code == 0
+    assert run_cap("render", "--cert", cert, "-o", svg)[0] == 0
+    assert _sha256(open(svg).read()) == (
+        "0dc8a97837a694b5e64d89b6264b944029c913b2e19523f7a68cc18e02b33707"
+    )
+
+
+@pytest.mark.parametrize("construct, code, digest", [
+    (("wheel", "200"), 1,
+     "49cbf553662216bb8b9f69a85a0ab959bea6a387c7ecf54bfbf6aafbcfbcedfd"),
+    (("collection", "40", "100"), 0,
+     "f0a36c670565acd7d244701de2bb2f1d87a6c8bea3bcbd10874ecac561137173"),
+])
+def test_verify_report_pinned(tmp_path, construct, code, digest):
+    cert = str(tmp_path / "x.cert")
+    assert run_cap("construct", *construct, "-o", cert)[0] == 0
+    got, out, err = run_cap("verify", "--cert", cert)
+    assert got == code
+    assert _sha256(out) == digest

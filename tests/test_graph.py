@@ -34,6 +34,20 @@ def test_graph_rejects_loops_and_range():
         Graph(-1, [])
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(1, 1)], "loop at vertex 1"),
+    ([(0, 3)], "edge (0, 3) out of range for n=3"),
+    ([(-1, 2)], "edge (-1, 2) out of range for n=3"),
+])
+def test_graph_checks_frozensets_like_lists(edges, message):
+    # builders pass normalized frozensets, which take a one-pass check
+    for container in (list, frozenset):
+        with pytest.raises(ValueError) as exc:
+            Graph(3, container(edges))
+        assert str(exc.value) == message
+    assert Graph(3, frozenset([(2, 0), (0, 1)])).edges == {(0, 1), (0, 2)}
+
+
 def test_graph_coloring_validation():
     # black side is 0..black_count-1; edges must go across
     g = complete_bipartite(2, 3)

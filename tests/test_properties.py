@@ -6,7 +6,11 @@ assert how much generated coverage this suite provides in total.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,7 +37,9 @@ from uncrossed import (
     verify_drawing,
     wheel_drawing,
 )
+from uncrossed.cli import run
 from uncrossed.embedding import PlaneDrawing
+from uncrossed.errors import FormatError
 
 N_EXAMPLES = {
     "graph_normalization": 150,
@@ -44,6 +50,7 @@ N_EXAMPLES = {
     "certificate_drop_drawing": 80,
     "certificate_roundtrip": 100,
     "cover_roundtrip": 100,
+    "text_format_mutations": 400,
 }
 
 COMMON = dict(derandomize=True, deadline=None)
@@ -188,3 +195,91 @@ def test_cover_roundtrip(m, data):
     assert back.union_edges() == cover.union_edges()
     assert back.union_edges() == complete_bipartite(back.m, back.n).edges
     back.validate()
+
+
+# well-formed files of each text format; the parts cover K_4 outerplanarly
+K4_TEXT = "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
+FORMAT_SEEDS = {
+    "certificate": (serialize_certificate(bipartite_uncrossed_collection(3, 5)),
+                    serialize_certificate(UncrossedCertificate(
+                        wheel_drawing(5).host, (wheel_drawing(5),)))),
+    "edge list": (format_edge_list(complete_bipartite(2, 3)), K4_TEXT),
+    "cover": (serialize_cover(double_cycle_cover(3, 7)),
+              serialize_cover(double_cycle_cover_minus_one(3))),
+    "parts": ("part 1\n0 1\n1 2\n2 3\n0 3\n0 2\npart 2\n1 3\n",
+              "part 1\n0 1\n1 2\n2 3\n0 3\n0 2\n"),
+}
+# small integers keep many mutants well formed, so that they reach the verifier
+TOKENS = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.sampled_from(("99", "x", "1.5", ":", "->", "#", "graph", "colors", "drawing",
+                     "edges", "rotation", "outer:", "part", "cover", "kind", "cycle",
+                     "start", "degrees", "shift")),
+)
+
+
+@st.composite
+def mutated_texts(draw):
+    """A seed file with 1-3 lines deleted, duplicated or swapped, or with a
+    token replaced, a field appended or two fields of a line swapped."""
+    fmt = draw(st.sampled_from(sorted(FORMAT_SEEDS)))
+    lines = draw(st.sampled_from(FORMAT_SEEDS[fmt])).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        kind = draw(st.sampled_from(
+            ("delete", "duplicate", "swap", "replace", "append", "reorder")))
+        i = draw(st.integers(0, len(lines) - 1))
+        if kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            fields = lines[i].split()
+            a = draw(st.integers(0, len(fields) - 1))
+            if kind == "reorder":
+                b = draw(st.integers(0, len(fields) - 1))
+                fields[a], fields[b] = fields[b], fields[a]
+            elif kind == "append":
+                fields.append(draw(TOKENS))
+            else:
+                fields[a] = draw(TOKENS)
+            lines[i] = " ".join(fields)
+    return fmt, "".join(ln + "\n" for ln in lines)
+
+
+def _run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+@settings(max_examples=N_EXAMPLES["text_format_mutations"], **COMMON)
+@given(mutated_texts())
+def test_text_format_mutations(mutated):
+    fmt, text = mutated
+    if fmt == "cover":
+        try:
+            parse_cover(text)
+        except FormatError:
+            pass
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path, k4 = os.path.join(tmp, "input"), os.path.join(tmp, "k4.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        with open(k4, "w") as fh:
+            fh.write(K4_TEXT)
+        if fmt == "certificate":
+            calls = [["verify", "--cert", path], ["render", "--cert", path]]
+        elif fmt == "edge list":
+            calls = [["bound", "--graph", path], ["oracle", "unc", "--graph", path],
+                     ["reduce", "ecr", "--graph", path, "-k", "3"],
+                     ["reduce", "unc", "--graph", path, "-k", "2"]]
+        else:
+            calls = [["reduce", "ecr", "--graph", k4, "-k", "5", "--witness", path],
+                     ["reduce", "unc", "--graph", k4, "-k", "2", "--witness", path]]
+        for argv in calls:
+            assert _run_quietly(argv) in (0, 1, 2), argv
