@@ -221,6 +221,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.quantity == "mus" and args.k is None:
+        raise FormatError("oracle mus requires -k")
     g = _load_graph(args.graph)
     family = orc.enumerate_admissible(g, cap=args.cap)
     if args.quantity == "h":
@@ -238,8 +240,6 @@ def _cmd_oracle(args) -> int:
         _emit(args, lambda: {"unc": val}, lambda: [f"unc = {val}"])
         return 0
     # mus
-    if args.k is None:
-        raise FormatError("oracle mus requires -k")
     ok, witness = orc.max_uncrossed_subgraph(g, args.k, family=family)
     lines = [f"admissible subgraph with >= {args.k} edges: {'yes' if ok else 'no'}"]
     payload: dict = {"k": args.k, "exists": ok}

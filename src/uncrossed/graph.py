@@ -115,23 +115,24 @@ def complete_bipartite(m: int, n: int) -> Graph:
     return Graph(m + n, edges, black_count=m)
 
 
+def _find(parent: list, x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def connected_components(n: int, edges: Iterable[Edge]) -> list[list[int]]:
     """Components of the graph (0..n-1, edges), each sorted, ordered by minimum."""
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u, v in edges:
-        ru, rv = find(u), find(v)
+        ru, rv = _find(parent, u), _find(parent, v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
     groups: dict[int, list[int]] = {}
     for v in range(n):
-        groups.setdefault(find(v), []).append(v)
+        groups.setdefault(_find(parent, v), []).append(v)
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
@@ -155,7 +156,15 @@ def is_connected(g: Graph) -> bool:
 
 def edges_connected(n: int, edges: frozenset) -> bool:
     """True iff (0..n-1, edges) is connected and spans all n vertices."""
-    return len(connected_components(n, edges)) == 1
+    parent = list(range(n))
+    unions = 0
+    for u, v in edges:
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+            unions += 1
+    # a spanning tree takes exactly n - 1 successful unions
+    return unions == n - 1
 
 
 class LineReader:

@@ -21,6 +21,18 @@ orders can succeed and all are skipped. The first admissible system found is
 the same as a plain ``itertools.product`` scan would find, and before it is
 returned it is traced again with ``trace_rotation`` and checked with face
 sets; a disagreement raises ``AssertionError``.
+
+The subset sweep searches only subsets that might be maximal members. Two
+twins (vertices u, v with N(u) - {v} = N(v) - {u}) can be swapped by an
+automorphism, and swaps within the twin classes give the whole group of K_n
+and K_{m,n} with m != n; when the kernel rejects a subset, its whole orbit
+under these swaps is rejected with it. An admissible set stays planar with
+any one undrawn edge added, drawn through the face its ends share, so a
+subset is skipped when one such extension has more than 3n - 6 edges or is
+a non-planar subset rejected one level up (the kernel reports whether any
+rotation system reached Euler's count). Only inadmissible subsets are
+skipped: every admissible one is still searched, in the same order, so the
+members and their witnesses are those of the plain sweep.
 """
 
 from __future__ import annotations
@@ -32,7 +44,7 @@ from math import ceil
 from .certify import UncrossedCertificate
 from .embedding import PlaneDrawing, trace_rotation
 from .errors import OracleCapError
-from .graph import Graph, edges_connected, is_connected
+from .graph import Graph, edges_connected, is_connected, normalize_edge
 
 
 @dataclass(frozen=True)
@@ -72,11 +84,13 @@ def _cyclic_orders(neighbors: tuple, quotient_reflection: bool):
         yield (first,) + perm
 
 
-def _admissible_witness(host: Graph, edges: frozenset) -> PlaneDrawing | None:
-    """Search rotation systems of the drawn subset for an admissible drawing.
+def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
+    """(first admissible drawing or None, whether the subset is planar).
 
     Rotation systems are visited in ``itertools.product`` order over the
     per-vertex candidate orders, so the first admissible one is returned.
+    A subset is planar when some system reaches Euler's face count; when no
+    system is admissible the scan is exhaustive, so the flag is exact.
     """
     n = host.n
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -125,6 +139,7 @@ def _admissible_witness(host: Graph, edges: frozenset) -> PlaneDrawing | None:
     # which of these follows
     outs = [slot[w][last] for w in neighbors[last]]
     last_rows = [[outs.index(t) for t in row] for row in rows[last]]
+    planar = False
     for prefix in itertools.product(*rows[:last]):
         succ = list(itertools.chain.from_iterable(prefix))
         # each dart out of the last vertex starts a path through darts into
@@ -163,6 +178,7 @@ def _admissible_witness(host: Graph, edges: frozenset) -> PlaneDrawing | None:
                     j = exits[lrow[j]]
             if (faces or 1) != target:
                 continue
+            planar = True
             succ[low:] = row
             if not cofacial_all(succ):
                 continue
@@ -170,8 +186,8 @@ def _admissible_witness(host: Graph, edges: frozenset) -> PlaneDrawing | None:
                 cand[v][rows[v].index(r)] for v, r in enumerate(prefix + (row,))
             )
             _confirm(host, edges, rotation, undrawn)
-            return PlaneDrawing(host, edges, rotation)
-    return None
+            return PlaneDrawing(host, edges, rotation), True
+    return None, planar
 
 
 def _confirm(host: Graph, edges: frozenset, rotation: tuple, undrawn: list) -> None:
@@ -188,14 +204,61 @@ def _confirm(host: Graph, edges: frozenset, rotation: tuple, undrawn: list) -> N
         raise AssertionError(f"face tracer rejects the kernel's rotation {rotation}")
 
 
-def enumerate_admissible(
-    host: Graph, max_edges: int | None = None, *, cap: int = 12
-) -> AdmissibleFamily:
+def _twin_swaps(host: Graph) -> list:
+    """Edge-index permutations that swap two twins, one per consecutive pair
+    of each twin class.
+
+    u and v are twins when N(u) - {v} = N(v) - {u}: they share their open
+    neighbourhood, or their closed one. Swapping them is an automorphism.
+    """
+    classes: dict = {}
+    for v, nb in enumerate(host.adjacency):
+        classes.setdefault((False, nb), []).append(v)
+        classes.setdefault((True, tuple(sorted(nb + (v,)))), []).append(v)
+    index = host.edge_index
+    swaps = []
+    for twins in classes.values():
+        for u, v in zip(twins, twins[1:]):
+            image = list(range(host.n))
+            image[u], image[v] = v, u
+            swaps.append(tuple(
+                index[normalize_edge(image[a], image[b])] for a, b in host.sorted_edges
+            ))
+    return swaps
+
+
+def _orbit(mask: int, swaps: list) -> set:
+    """The edge masks that the twin swaps reach from ``mask``."""
+    orbit = {mask}
+    stack = [mask]
+    while stack:
+        x = stack.pop()
+        for perm in swaps:
+            y = 0
+            rest = x
+            while rest:
+                low = rest & -rest
+                y |= 1 << perm[low.bit_length() - 1]
+                rest ^= low
+            if y not in orbit:
+                orbit.add(y)
+                stack.append(y)
+    return orbit
+
+
+def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     """All maximal admissible edge sets of a connected host, with witnesses.
 
-    Works down from the largest candidate size; a subset of an already found
-    member is admissible but not maximal and is skipped unsearched. ``cap``
-    bounds the host edge count this is willing to process at all.
+    Works down from the largest candidate size, one level at a time. A
+    subset is skipped unsearched when a one-edge extension of it is settled
+    one level up: inside a member (the subset is admissible but not
+    maximal), or non-planar (an admissible set stays planar with any undrawn
+    edge added through the face its ends share). Subsets of 3n-6 edges or
+    more with an undrawn edge fail the same way, and the twin-swap orbit of
+    a subset the kernel rejects is rejected with it. Every member is still
+    searched, in the plain sweep's order, so members and witnesses are
+    unchanged. ``cap`` bounds the host edge count this is willing to
+    process at all.
     """
     if not is_connected(host):
         raise ValueError("oracle requires a connected host")
@@ -208,27 +271,50 @@ def enumerate_admissible(
         )
     n, e_all = host.n, host.m
     edge_list = host.sorted_edges
+    full = (1 << e_all) - 1
     upper = e_all
-    if n >= 3:
-        upper = min(upper, 3 * n - 6)
-    if max_edges is not None:
-        upper = min(upper, max_edges)
+    if n >= 3 and e_all > 3 * n - 6:
+        # one undrawn edge more would exceed the planar edge bound
+        upper = 3 * n - 7
     lower = max(n - 1, 0)
-    found: list = []  # (mask, frozenset, witness)
+    swaps = _twin_swaps(host)
+    found: list = []  # (frozenset, witness)
+    # what is settled about the masks of one level: True for members and
+    # their subsets, False for non-planar rejected orbits, None for the
+    # other rejected orbits; ``above`` is the level one edge larger
+    above: dict = {}
     for k in range(upper, lower - 1, -1):
+        known: dict = {}
         for combo in itertools.combinations(range(e_all), k):
             mask = 0
             for i in combo:
                 mask |= 1 << i
-            if any(mask & fm == mask for fm, _, _ in found):
+            if mask in known:  # the orbit of a rejected subset
+                continue
+            # an extension inside a member makes this subset non-maximal, a
+            # non-planar one makes it inadmissible
+            rest = full ^ mask
+            while rest:
+                low = rest & -rest
+                settled = above.get(mask | low)
+                if settled is not None:
+                    if settled:
+                        known[mask] = True
+                    break
+                rest ^= low
+            if rest:
                 continue
             subset = frozenset(edge_list[i] for i in combo)
             if not edges_connected(n, subset):
                 continue
-            witness = _admissible_witness(host, subset)
+            witness, planar = _admissible_witness(host, subset)
             if witness is not None:
-                found.append((mask, subset, witness))
-    return AdmissibleFamily(host, tuple((s, w) for _, s, w in found))
+                found.append((subset, witness))
+                known[mask] = True
+            else:
+                known.update(dict.fromkeys(_orbit(mask, swaps), None if planar else False))
+        above = known
+    return AdmissibleFamily(host, tuple(found))
 
 
 def exact_h(host: Graph, *, family: AdmissibleFamily | None = None, cap: int = 12) -> int:

@@ -161,6 +161,19 @@ def test_oracle_mus_decision(k5_file):
     assert code == 1 and ": no" in out
 
 
+def test_oracle_mus_without_k_refuses_before_searching(monkeypatch, k5_file):
+    import uncrossed.oracle as orc
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the oracle searched before checking -k")
+
+    monkeypatch.setattr(orc, "enumerate_admissible", no_search)
+    code, out, err = run_cap("oracle", "mus", "--graph", k5_file)
+    assert code == 2
+    assert "oracle mus requires -k" in err
+    assert out == ""
+
+
 def test_oracle_cap_refusal(tmp_path):
     p = tmp_path / "k7.txt"
     p.write_text(K7_TEXT)

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
+
+import helpers as H
 
 from uncrossed import (
     FormatError,
@@ -11,7 +16,7 @@ from uncrossed import (
     is_connected,
     parse_edge_list,
 )
-from uncrossed.graph import connected_components, normalize_edge
+from uncrossed.graph import connected_components, edges_connected, normalize_edge
 
 
 def test_normalize_edge_orders_endpoints():
@@ -109,3 +114,19 @@ def test_parse_edge_list_rejects_garbage():
         parse_edge_list("2 1\n0 1\n0 1 extra\n")
     with pytest.raises(FormatError):
         parse_edge_list("2 2\n0 1\n")  # header promises two edges
+
+
+def test_edges_connected_matches_reference():
+    assert edges_connected(0, frozenset()) is False
+    assert edges_connected(1, frozenset()) is True
+    assert edges_connected(2, frozenset()) is False
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))
+        got = edges_connected(n, edges)
+        assert got == H.connected(n, edges), (n, sorted(edges))
+        outcomes.add(got)
+    assert outcomes == {True, False}
