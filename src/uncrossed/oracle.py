@@ -25,14 +25,22 @@ sets; a disagreement raises ``AssertionError``.
 The subset sweep searches only subsets that might be maximal members. Two
 twins (vertices u, v with N(u) - {v} = N(v) - {u}) can be swapped by an
 automorphism, and swaps within the twin classes give the whole group of K_n
-and K_{m,n} with m != n; when the kernel rejects a subset, its whole orbit
-under these swaps is rejected with it. An admissible set stays planar with
-any one undrawn edge added, drawn through the face its ends share, so a
-subset is skipped when one such extension has more than 3n - 6 edges or is
-a non-planar subset rejected one level up (the kernel reports whether any
-rotation system reached Euler's count). Only inadmissible subsets are
-skipped: every admissible one is still searched, in the same order, so the
-members and their witnesses are those of the plain sweep.
+and K_{m,n} with m != n. When the kernel rejects a subset, its whole orbit
+under these swaps is rejected with it. When it accepts one, the witness is
+carried through the vertex map that reaches each other subset of the orbit,
+checked once with face sets, and kept until the sweep reaches that subset;
+so only the first member of each orbit (in sweep order) has the kernel's
+first witness in product order, and the others have a relabeled one.
+
+An admissible set stays planar with any one undrawn edge added, drawn
+through the face its ends share, so a subset is skipped when one such
+extension is too large to be planar or is a non-planar subset rejected one
+level up (the kernel reports whether any rotation system reached Euler's
+count). A planar graph on n >= 3 vertices has at most 3n - 6 edges, and at
+most 2n - 4 when it has no triangle; every subset of a triangle-free host is
+triangle-free, so such a host uses the smaller bound. Only inadmissible or
+non-maximal subsets are skipped, so the members and their order are those
+of the plain sweep.
 """
 
 from __future__ import annotations
@@ -205,11 +213,13 @@ def _confirm(host: Graph, edges: frozenset, rotation: tuple, undrawn: list) -> N
 
 
 def _twin_swaps(host: Graph) -> list:
-    """Edge-index permutations that swap two twins, one per consecutive pair
-    of each twin class.
+    """Swaps of two twins, one per consecutive pair of each twin class.
 
     u and v are twins when N(u) - {v} = N(v) - {u}: they share their open
-    neighbourhood, or their closed one. Swapping them is an automorphism.
+    neighbourhood, or their closed one. Swapping them is an automorphism,
+    and an involution on the edges: each swap is given as its vertex
+    permutation, the bitmask of the edges it fixes, and the pairs of edge
+    bits it exchanges.
     """
     classes: dict = {}
     for v, nb in enumerate(host.adjacency):
@@ -221,29 +231,46 @@ def _twin_swaps(host: Graph) -> list:
         for u, v in zip(twins, twins[1:]):
             image = list(range(host.n))
             image[u], image[v] = v, u
-            swaps.append(tuple(
-                index[normalize_edge(image[a], image[b])] for a, b in host.sorted_edges
-            ))
+            fixed, pairs = 0, []
+            for i, (a, b) in enumerate(host.sorted_edges):
+                j = index[normalize_edge(image[a], image[b])]
+                if i == j:
+                    fixed |= 1 << i
+                elif i < j:
+                    pairs.append((1 << i, 1 << j))
+            swaps.append((tuple(image), fixed, pairs))
     return swaps
 
 
-def _orbit(mask: int, swaps: list) -> set:
-    """The edge masks that the twin swaps reach from ``mask``."""
-    orbit = {mask}
+def _orbit(mask: int, swaps: list, n: int) -> dict:
+    """The edge masks that the twin swaps reach from ``mask``, each with a
+    vertex map (a tuple indexed by vertex) that carries ``mask`` onto it."""
+    orbit = {mask: tuple(range(n))}
     stack = [mask]
     while stack:
         x = stack.pop()
-        for perm in swaps:
-            y = 0
-            rest = x
-            while rest:
-                low = rest & -rest
-                y |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
+        vmap = orbit[x]
+        for image, fixed, pairs in swaps:
+            y = x & fixed
+            for a, b in pairs:
+                if x & a:
+                    y |= b
+                if x & b:
+                    y |= a
             if y not in orbit:
-                orbit.add(y)
+                orbit[y] = tuple(map(image.__getitem__, vmap))
                 stack.append(y)
     return orbit
+
+
+def _relabeled(host: Graph, witness: PlaneDrawing, vmap: tuple) -> PlaneDrawing:
+    """The witness carried through the automorphism ``vmap``, re-checked."""
+    rotation = [()] * host.n
+    for v, order in enumerate(witness.rotation):
+        rotation[vmap[v]] = tuple(vmap[u] for u in order)
+    edges = frozenset(normalize_edge(vmap[u], vmap[v]) for u, v in witness.drawn)
+    _confirm(host, edges, rotation, sorted(host.edges - edges))
+    return PlaneDrawing(host, edges, rotation)
 
 
 def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
@@ -253,13 +280,17 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     subset is skipped unsearched when a one-edge extension of it is settled
     one level up: inside a member (the subset is admissible but not
     maximal), or non-planar (an admissible set stays planar with any undrawn
-    edge added through the face its ends share). Subsets of 3n-6 edges or
-    more with an undrawn edge fail the same way, and the twin-swap orbit of
-    a subset the kernel rejects is rejected with it. Every member is still
-    searched, in the plain sweep's order, so members and witnesses are
-    unchanged. ``cap`` bounds the host edge count this is willing to
-    process at all.
+    edge added through the face its ends share). The sweep starts one edge
+    below the planar edge bound, 2n - 4 on a triangle-free host and 3n - 6
+    otherwise, and the twin-swap orbit of a subset the kernel rejects is
+    rejected with it. Members come in the plain sweep's order. The first
+    member of each twin-swap orbit gets the kernel's first witness; the
+    other members of the orbit get that witness relabeled through the
+    swaps, each checked once with face sets. ``cap`` bounds the host edge
+    count this is willing to process at all.
     """
+    if host.n == 0:
+        raise ValueError("oracle requires a host with at least one vertex")
     if not is_connected(host):
         raise ValueError("oracle requires a connected host")
     if host.m > cap:
@@ -271,25 +302,34 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
         )
     n, e_all = host.n, host.m
     edge_list = host.sorted_edges
+    bits = [1 << i for i in range(e_all)]
     full = (1 << e_all) - 1
+    adjacency = [set(nb) for nb in host.adjacency]
+    triangle_free = not any(adjacency[u] & adjacency[v] for u, v in edge_list)
+    bound = 2 * n - 4 if triangle_free else 3 * n - 6
     upper = e_all
-    if n >= 3 and e_all > 3 * n - 6:
+    if n >= 3 and e_all > bound:
         # one undrawn edge more would exceed the planar edge bound
-        upper = 3 * n - 7
-    lower = max(n - 1, 0)
+        upper = bound - 1
+    lower = n - 1
     swaps = _twin_swaps(host)
     found: list = []  # (frozenset, witness)
+    # relabeled witnesses of members not reached yet, by mask
+    images: dict = {}
     # what is settled about the masks of one level: True for members and
     # their subsets, False for non-planar rejected orbits, None for the
     # other rejected orbits; ``above`` is the level one edge larger
     above: dict = {}
     for k in range(upper, lower - 1, -1):
         known: dict = {}
-        for combo in itertools.combinations(range(e_all), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
+        for combo in itertools.combinations(bits, k):
+            mask = sum(combo)
             if mask in known:  # the orbit of a rejected subset
+                continue
+            if mask in images:  # the orbit of a member
+                subset = frozenset(edge_list[b.bit_length() - 1] for b in combo)
+                found.append((subset, images.pop(mask)))
+                known[mask] = True
                 continue
             # an extension inside a member makes this subset non-maximal, a
             # non-planar one makes it inadmissible
@@ -304,15 +344,19 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
                 rest ^= low
             if rest:
                 continue
-            subset = frozenset(edge_list[i] for i in combo)
+            subset = frozenset(edge_list[b.bit_length() - 1] for b in combo)
             if not edges_connected(n, subset):
                 continue
             witness, planar = _admissible_witness(host, subset)
+            orbit = _orbit(mask, swaps, n)
             if witness is not None:
                 found.append((subset, witness))
                 known[mask] = True
+                del orbit[mask]
+                for image, vmap in orbit.items():
+                    images[image] = _relabeled(host, witness, vmap)
             else:
-                known.update(dict.fromkeys(_orbit(mask, swaps), None if planar else False))
+                known.update(dict.fromkeys(orbit, None if planar else False))
         above = known
     return AdmissibleFamily(host, tuple(found))
 

@@ -182,6 +182,16 @@ def test_oracle_cap_refusal(tmp_path):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("quantity", ["h", "ecr", "unc", "mus"])
+def test_oracle_refuses_a_host_with_no_vertices(tmp_path, quantity):
+    p = tmp_path / "g0.txt"
+    p.write_text("0 0\n")
+    code, out, err = run_cap("oracle", quantity, "--graph", str(p), "-k", "1")
+    assert code == 2
+    assert err == "error: oracle requires a host with at least one vertex\n"
+    assert out == ""
+
+
 def test_reduce_ecr_with_witness(tmp_path):
     g = tmp_path / "tri.txt"
     g.write_text(TRIANGLE_TEXT)

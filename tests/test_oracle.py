@@ -243,21 +243,22 @@ def _k33_plus(extra):
     return Graph(n, [(a, b) for a in range(3) for b in range(3, 6)] + list(extra))
 
 
-# sha256 of the members in family order with their witness rotations, taken
-# from the plain sweep that decided every connected subset with the kernel
+# sha256 of the members in family order with their witness rotations: the
+# first member of each twin-swap orbit has the kernel's witness, the others
+# that witness relabeled through the swaps
 SWEEP_PINS = {
-    "K5": "f92bbe76b945a0b2f8e19dd0205e5abc76c83e6faf63ed93fab834fc92397a30",
-    "K33": "4e6d8104834910a82f31a7d0fb9dac49864e196876d5936b9f9dce66631691a3",
-    "K34": "27d6265240d422f0f720d9c24fc6d4649431c8219edba44f2951303ce5a39343",
-    ((0, 1),): "de436413a74be15e2544811a3a6a7be79178eedf923cfa79030a2a3acef89eee",
-    ((0, 1), (1, 2)): "10cf55f979d90d1591efe6a19fe61e2d3d16b2430e850c33125fd7eb5683f822",
-    ((0, 1), (3, 4)): "f4ae9d347a55583196ff8cceb1c4934da861b80d83e4924f96f43acba35e6918",
-    ((0, 6),): "1ae6934739174761464b2eada58634ead819cbff836b0a2bb00991ad04aed486",
-    ((0, 6), (1, 6)): "8483641f15de8c64d226a16e91476166cb3072f154d8821bec43953929de26fd",
-    ((0, 6), (3, 6)): "2d4dcb851878356c74fdee632eab695dbfc375c8097cd204e1dcb352d94006aa",
-    ((0, 6), (0, 1)): "dd33e2a640e121e8dca5228edc3149174bdeeb8b001832cd8fffee6438f09518",
-    ((0, 6), (1, 2)): "e404562511075ce3886476711270d9be5ab6dfd37e63ac6b171f97ec9bc15de7",
-    ((0, 6), (3, 4)): "d36082851044d6e2a8672509504182cae1aa382e881682c240bcf10566386278",
+    "K5": "33895916efc4d999dca7b8aaa34dfaa7db5f074c056b600ba1bced0b1c293243",
+    "K33": "707408e4de7c29fdec12cf92c0083adcfe9734eb8f0712cbe543f6d0885c8114",
+    "K34": "c61ef305cab31fd0870557fef1c8921a3f318ba8ed744701203c4be6516c0bf0",
+    ((0, 1),): "c0ac06fcc1bb08b9a152ed6bce4a351e2e89addb0586d1478647ea37bf1ff078",
+    ((0, 1), (1, 2)): "0fd98981f45590a628423c97ab3b6193bc93fb59459af5999cc8429b3ee3aca5",
+    ((0, 1), (3, 4)): "adefeb7c97f6c4c921879457bfdfe750d840f870454b29f42932939a008d2a7f",
+    ((0, 6),): "f6f70c3f9950f9a57e1dca386bd1449fe3554cf09de1c7fe532f53a42684d9c7",
+    ((0, 6), (1, 6)): "ca164f41da4ff026e1edcc043d97a3d7f7887fb484a78bdb16b0c81278033c7c",
+    ((0, 6), (3, 6)): "9074724866bbd9d26e7f84f24d6229a3db9509e9d67f61e56ce02bc7bb0da0e2",
+    ((0, 6), (0, 1)): "91ff82eae41ab7fd7b71d1e8ac5037b28e72d3a0e1145f7021053dd1e057c7a0",
+    ((0, 6), (1, 2)): "2440835488fdcc3aa536d5ce4d90f3da56efb788d467e1047dbba51c5744bcf1",
+    ((0, 6), (3, 4)): "229e76a658d1c6628df2b48c159ef0d1c75b94103b69ec650759a5310af976a1",
 }
 
 
@@ -286,6 +287,30 @@ def _unpruned_members(host):
                     admissible[frozenset(combo)] = witness.rotation
     return [(sorted(s), rot) for s, rot in admissible.items()
             if not any(s < t for t in admissible)]
+
+
+def _orbit_firsts(host, members):
+    """Indices of the members that come first in their orbit under swaps of
+    twin vertices (u, v with N(u) - {v} = N(v) - {u})."""
+    nbrs = [set(nb) for nb in host.adjacency]
+    twins = [(u, v) for u, v in itertools.combinations(range(host.n), 2)
+             if nbrs[u] - {v} == nbrs[v] - {u}]
+    seen, firsts = set(), set()
+    for i, (edges, _) in enumerate(members):
+        if frozenset(edges) in seen:
+            continue
+        firsts.add(i)
+        stack = [frozenset(edges)]
+        seen.add(stack[0])
+        while stack:
+            x = stack.pop()
+            for u, v in twins:
+                swap = {u: v, v: u}
+                y = frozenset(tuple(sorted((swap.get(a, a), swap.get(b, b)))) for a, b in x)
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return firsts
 
 
 def _relabeled(rng, n, edges):
@@ -317,8 +342,24 @@ def test_sweep_matches_unpruned_reference():
     for extra in K33_PLUS:
         host = _k33_plus(extra)
         hosts.append(_relabeled(rng, host.n, host.sorted_edges))
+    # triangle-free hosts: K_{2,5} and K_{3,3} plus a pendant vertex have
+    # m = 2n - 4, so the sweep starts at m; the 8-cycle with five chords
+    # joining its two colour classes has m = 2n - 3
+    hosts.append(complete_bipartite(2, 5))
+    hosts.append(_relabeled(rng, 7, [(a, b) for a in range(3) for b in range(3, 6)] + [(5, 6)]))
+    hosts.append(_relabeled(rng, 8, [(i, (i + 1) % 8) for i in range(8)]
+                            + [(0, 3), (0, 5), (1, 4), (2, 7), (3, 6)]))
     for host in hosts:
-        assert _members(enumerate_admissible(host)) == _unpruned_members(host), host.edges
+        fam = enumerate_admissible(host, cap=host.m)
+        got, want = _members(fam), _unpruned_members(host)
+        assert [edges for edges, _ in got] == [edges for edges, _ in want], host.edges
+        # the kernel still searches the first member of each orbit; the
+        # others carry a relabeled witness, checked as a drawing instead
+        for i in _orbit_firsts(host, got):
+            assert got[i] == want[i], host.edges
+        for edges, witness in fam.members:
+            assert witness.drawn == edges
+            assert verify_drawing(host, witness).ok
 
 
 @pytest.mark.parametrize("host,h,unc", [
@@ -330,4 +371,34 @@ def test_exact_values_at_cap_16(host, h, unc):
     assert exact_h(host, family=fam) == h == 10
     u, cert = exact_unc(host, family=fam)
     assert u == unc == 2
+    assert verify_certificate(cert).ok
+
+
+def test_sweep_starts_below_the_planar_edge_bound(monkeypatch):
+    import uncrossed.oracle as orc
+
+    searched = []
+    kernel = orc._admissible_witness
+
+    def recording(host, edges):
+        searched.append(len(edges))
+        return kernel(host, edges)
+
+    monkeypatch.setattr(orc, "_admissible_witness", recording)
+    # triangle-free hosts: at most 2n - 4 edges are planar, so no subset
+    # above 2n - 5 is searched; K_5 has triangles and keeps 3n - 7 = 8
+    for host, largest in ((complete_bipartite(3, 3), 2 * 6 - 5),
+                          (complete_bipartite(3, 4), 2 * 7 - 5),
+                          (complete_graph(5), 3 * 5 - 7)):
+        searched.clear()
+        enumerate_admissible(host)
+        assert max(searched) == largest, host.edges
+
+
+def test_k36_exact_values_at_cap_18():
+    host = complete_bipartite(3, 6)
+    fam = enumerate_admissible(host, cap=18)
+    assert exact_h(host, family=fam) == h_complete_bipartite(3, 6) == 12
+    u, cert = exact_unc(host, family=fam)
+    assert u == unc_complete_bipartite(3, 6) == 2
     assert verify_certificate(cert).ok
