@@ -84,10 +84,9 @@ def verify_drawing(host: Graph, d: PlaneDrawing) -> AdmissibilityReport:
     if not connected:
         return AdmissibilityReport(ok=False, connected=False)
     try:
-        faces = d.faces
+        face_count = d.face_count or 1
     except MalformedRotationError as exc:
         return AdmissibilityReport(ok=False, structural=(str(exc),))
-    face_count = len(faces) or 1
     euler_ok = host.n - len(d.drawn) + face_count == 2
     if not euler_ok:
         return AdmissibilityReport(
@@ -181,9 +180,10 @@ def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:
 #
 # Parsing goes through graph.LineReader: blank lines and '#' comments are
 # skipped, and each block of m (or k) edge lines must list distinct edges,
-# '1 0' counting as '0 1'. The outer dart must be a drawn dart; the verifier
-# reports one that is not as a malformed drawing. Verification reads
-# cofaciality from PlaneDrawing.face_masks, one int per vertex.
+# '1 0' counting as '0 1'. The host needs at least one vertex. The outer
+# dart must be a drawn dart; the verifier reports one that is not as a
+# malformed drawing. Verification reads the face count and cofaciality from
+# PlaneDrawing's dart tracer: one int face mask per vertex.
 
 
 def serialize_certificate(c: UncrossedCertificate) -> str:
@@ -216,6 +216,8 @@ def parse_certificate(text: str) -> UncrossedCertificate:
         raise r.error("certificate must start with a 'graph' section")
     host = read_graph(r)
     n = host.n
+    if n == 0:
+        raise r.error("certificate requires a host with at least one vertex", 1)
     drawings = []
     while r.peek() is not None:
         (ordinal,) = r.ints("'drawing <i>'", "drawing", 1)
@@ -225,7 +227,7 @@ def parse_certificate(text: str) -> UncrossedCertificate:
                 f"expected {len(drawings) + 1}"
             )
         (k,) = r.ints("'edges <count>' after the drawing header", "edges", 1)
-        drawn = r.pairs(k, "drawn edge line")
+        _, drawn = r.pairs(k, "drawn edge line")
         if r.take() != "rotation":
             raise r.error("expected 'rotation' block in drawing section")
         rotation = []

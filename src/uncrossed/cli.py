@@ -81,7 +81,7 @@ def _parse_parts_file(text: str) -> list:
         k = r.pos
         while k < len(r.lines) and not r.lines[k].startswith("part"):
             k += 1
-        parts.append(r.pairs(k - r.pos, "edge line"))
+        parts.append(r.pairs(k - r.pos, "edge line")[1])
     if not parts:
         raise FormatError("parts file contains no parts")
     return parts

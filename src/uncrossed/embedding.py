@@ -9,6 +9,16 @@ The face-successor convention is fixed once and used everywhere: the dart
 after ``(u, v)`` is ``(v, w)`` where ``w`` follows ``u`` in the cyclic order
 around ``v``.
 
+One integer tracer serves every reader. Darts are numbered as slots, the
+vertices in sorted order and the darts out of each in rotation order, so
+dart ``(v, rotation[v][i])`` is slot ``off[v] + i``; faces are the cycles of
+a flat successor list over those slots, and a face's id is the rank of its
+lowest slot. ``PlaneDrawing`` keeps only the face count and one face bitmask
+per vertex, which the verifier, ``is_planar_embedding``, ``cofacial`` and the
+oracle's witness check read; ``Face`` objects with their walks are built
+only for the renderer and callers of ``faces``, ``outer_face`` and
+``trace_faces``.
+
 Outerplanar embedding is pure Python, one biconnected block at a time (the
 degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
 general planarity test ``is_planar_graph``.
@@ -43,47 +53,82 @@ class Face:
     length: int
 
 
-def trace_rotation(rotation: dict) -> list[Face]:
+def _dart_slots(rotation) -> tuple:
+    """The darts of a rotation system, numbered as integer slots.
+
+    Vertices are taken in sorted order and the darts out of each in the order
+    of its rotation, so dart (v, rotation[v][i]) is slot ``off[v] + i``.
+    Returns (tails, heads, succ): the ends of each slot's dart, and the slot
+    of the dart after it on its face. Raises MalformedRotationError when
+    darts are not symmetric or orders contain repeats.
+    """
+    verts = sorted(rotation)
+    rings = [tuple(rotation[v]) for v in verts]
+    # per vertex v: neighbour u -> slot of the dart that follows (u, v)
+    after = {}
+    off = 0
+    for v, ring in zip(verts, rings):
+        after[v] = dict(zip(ring, [*range(off + 1, off + len(ring)), off]))
+        off += len(ring)
+    try:
+        succ = [after[u][v] for v, ring in zip(verts, rings) for u in ring]
+    except KeyError:
+        succ = None
+    if succ is None or any(len(after[v]) != len(ring) or v in after[v]
+                           for v, ring in zip(verts, rings)):
+        _raise_malformed(verts, rings)
+    tails = [v for v, ring in zip(verts, rings) for _ in ring]
+    heads = [u for ring in rings for u in ring]
+    return tails, heads, succ
+
+
+def _raise_malformed(verts: list, rings: list):
+    """Raise MalformedRotationError for the first bad dart in slot order."""
+    neighbours = {v: set(ring) for v, ring in zip(verts, rings)}
+    for v, ring in zip(verts, rings):
+        if len(neighbours[v]) != len(ring):
+            raise MalformedRotationError(f"repeated neighbor around vertex {v}", v)
+        for u in ring:
+            if u == v:
+                raise MalformedRotationError(f"self-dart at vertex {v}", v)
+            if u not in neighbours or v not in neighbours[u]:
+                raise MalformedRotationError(
+                    f"dart ({v}, {u}) has no reverse in the rotation", v
+                )
+    raise AssertionError("rotation has no malformed dart")
+
+
+def _face_slots(succ: list) -> list:
+    """The faces as lists of dart slots in walk order, each walk starting at
+    its lowest slot, in the order of those slots."""
+    seen = bytearray(len(succ))
+    faces = []
+    for s in range(len(succ)):
+        if seen[s]:
+            continue
+        walk = []
+        cur = s
+        while not seen[cur]:
+            seen[cur] = 1
+            walk.append(cur)
+            cur = succ[cur]
+        faces.append(walk)
+    return faces
+
+
+def trace_rotation(rotation) -> list[Face]:
     """Trace all faces of a rotation system given as vertex -> neighbor tuple.
 
     Vertices with empty rotations contribute no darts (and no faces). Raises
     MalformedRotationError when darts are not symmetric or orders contain
-    repeats.
+    repeats. Face ids follow the lowest dart slot of each face.
     """
-    succ: dict[Dart, Dart] = {}
-    for v in sorted(rotation):
-        order = tuple(rotation[v])
-        if len(set(order)) != len(order):
-            raise MalformedRotationError(f"repeated neighbor around vertex {v}", v)
-        for u in order:
-            if u == v:
-                raise MalformedRotationError(f"self-dart at vertex {v}", v)
-            if u not in rotation or v not in rotation[u]:
-                raise MalformedRotationError(
-                    f"dart ({v}, {u}) has no reverse in the rotation", v
-                )
-    for v in sorted(rotation):
-        order = tuple(rotation[v])
-        for i, u in enumerate(order):
-            # dart (u, v) continues to (v, successor of u around v)
-            succ[(u, v)] = (v, order[(i + 1) % len(order)])
+    tails, heads, succ = _dart_slots(rotation)
+    darts = list(zip(tails, heads))
     faces: list[Face] = []
-    seen: set[Dart] = set()
-    for v in sorted(rotation):
-        for u in rotation[v]:
-            start = (v, u)
-            if start in seen:
-                continue
-            walk = []
-            cur = start
-            while True:
-                walk.append(cur)
-                seen.add(cur)
-                cur = succ[cur]
-                if cur == start:
-                    break
-            verts = frozenset(d[0] for d in walk)
-            faces.append(Face(len(faces), tuple(walk), verts, len(walk)))
+    for slots in _face_slots(succ):
+        walk = tuple(map(darts.__getitem__, slots))
+        faces.append(Face(len(faces), walk, frozenset(d[0] for d in walk), len(walk)))
     return faces
 
 
@@ -96,9 +141,11 @@ class PlaneDrawing:
     designates the face whose boundary contains it as the outer one (used by
     rendering; face structure itself is spherical and needs no outer choice).
 
-    Faces are traced once and cached. ``face_masks`` holds each vertex's faces
-    as one int bitmask, so the verifier, ``cofacial`` and the renderer test
-    whether two vertices share a face with a single ``&``.
+    Faces are traced once on integer dart slots, and only the face count and
+    ``face_masks`` are cached: each vertex's faces as one int bitmask, so the
+    verifier, ``cofacial`` and the renderer test whether two vertices share a
+    face with a single ``&``. ``faces`` builds ``Face`` objects, walks
+    included, only when a reader asks for them.
 
     Construction only checks cheap shape constraints so that structurally
     broken drawings can still be represented and then *reported* by the
@@ -159,18 +206,31 @@ class PlaneDrawing:
         return tuple(trace_rotation(self.rotation_map()))
 
     @cached_property
+    def _face_data(self) -> tuple:
+        # only the count and the masks are kept, not the dart slots
+        tails, _, succ = _dart_slots(self.rotation_map())
+        masks = [0] * self.host.n
+        walks = _face_slots(succ)
+        for f, walk in enumerate(walks):
+            bit = 1 << f
+            for s in walk:
+                masks[tails[s]] |= bit
+        return len(walks), tuple(masks)
+
+    @property
+    def face_count(self) -> int:
+        """The number of faces traced (0 when nothing is drawn)."""
+        return self._face_data[0]
+
+    @property
     def face_masks(self) -> tuple:
         """Per vertex, an int with bit f set when face f passes through it.
 
         Two vertices are cofacial iff their masks share a bit, and the lowest
-        shared bit is the lowest id of a face they share.
+        shared bit is the lowest id of a face they share, which is the face
+        of that id in ``faces``.
         """
-        masks = [0] * self.host.n
-        for f in self.faces:
-            bit = 1 << f.id
-            for v in f.vertices:
-                masks[v] |= bit
-        return tuple(masks)
+        return self._face_data[1]
 
     def outer_face(self) -> Face | None:
         if self.outer_dart is None:
@@ -197,7 +257,7 @@ def is_planar_embedding(d: PlaneDrawing) -> bool:
     if not edges_connected(d.host.n, d.drawn):
         return False
     # a connected drawing with no darts is a lone vertex: one face
-    face_count = len(d.faces) or 1
+    face_count = d.face_count or 1
     return d.host.n - len(d.drawn) + face_count == 2
 
 
@@ -333,13 +393,16 @@ def _block_cycle(block: list) -> list:
 def _embed_component_outerplanar(vertices: list, edges: list) -> tuple:
     """Embed one connected edge set with all its vertices on a single face.
 
-    Returns (rotation dict, outer walk darts). Raises NotOuterplanarError when
-    impossible. Each biconnected block is laid out on the cyclic order of its
-    outer cycle (``_block_cycle``); a vertex's rotation in a block is its
-    block neighbours sorted by cyclic offset from it, so the block's outer
-    corner at the vertex lies between its last and first neighbour. A cut
-    vertex lists the fans of its blocks one after another, which puts every
-    block in the shared outer region.
+    ``vertices`` is sorted and has at least two members. Returns (rotation
+    dict, outer walk darts). Raises NotOuterplanarError when impossible.
+    Each biconnected block is laid out on the cyclic order of its outer
+    cycle (``_block_cycle``); a vertex's rotation in a block is its block
+    neighbours sorted by cyclic offset from it, so the block's outer corner
+    at the vertex lies between its last and first neighbour. A cut vertex
+    lists the fans of its blocks one after another, which puts every block
+    in the shared outer region. The outer walk is that one face, followed
+    from the first dart of the lowest vertex; it is the face that tracing
+    every face would find first among those through every vertex.
     """
     adj: dict = {v: [] for v in vertices}
     for u, v in edges:
@@ -360,15 +423,21 @@ def _embed_component_outerplanar(vertices: list, edges: list) -> tuple:
             p = pos[v]
             fans[v].extend(sorted(nbrs[v], key=lambda u: (pos[u] - p) % k))
     rotation = {v: tuple(fans[v]) for v in vertices}
-    faces = trace_rotation(rotation)
-    vset = set(vertices)
-    for f in faces:
-        if vset <= f.vertices:
-            return rotation, list(f.walk)
-    # single vertex, no edges: no darts at all
-    if not edges:
-        return rotation, []
-    raise AssertionError("block embedding produced no all-vertex face")
+    # every fan starts after an outer corner, so the dart from the lowest
+    # vertex to its first neighbour (the tracer's first dart) is outer
+    where = {v: {u: i for i, u in enumerate(r)} for v, r in rotation.items()}
+    start = (vertices[0], rotation[vertices[0]][0])
+    walk = [start]
+    u, v = start
+    while True:
+        ring = rotation[v]
+        u, v = v, ring[(where[v][u] + 1) % len(ring)]
+        if (u, v) == start:
+            break
+        walk.append((u, v))
+    if len({a for a, _ in walk}) != len(vertices):
+        raise AssertionError("block embedding left a vertex off the outer walk")
+    return rotation, walk
 
 
 def is_outerplanar(g: Graph) -> tuple:

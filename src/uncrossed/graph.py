@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations, product
 from operator import itemgetter
 from typing import Iterable
 
@@ -55,6 +56,16 @@ class Graph:
             bad = next((e for e in self.edges if (e[0] < b) == (e[1] < b)), None)
             if bad is not None:
                 raise ValueError(f"edge {bad} stays inside one color class")
+
+    @classmethod
+    def _trusted(cls, n: int, sorted_edges: tuple, black_count: int | None = None) -> Graph:
+        """A graph from edges that are valid by construction: normalized,
+        distinct, in range, and already in sorted order. Nothing is checked,
+        and ``sorted_edges`` is the tuple given."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, edges=frozenset(sorted_edges), black_count=black_count,
+                          sorted_edges=sorted_edges)
+        return g
 
     @property
     def m(self) -> int:
@@ -104,15 +115,16 @@ def complete_graph(n: int) -> Graph:
     """K_n. Requires n >= 1."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)))
+    # combinations and product yield the pairs in sorted order
+    return Graph._trusted(n, tuple(combinations(range(n), 2)))
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     """K_{m,n} with blacks 0..m-1 and whites m..m+n-1. Requires m, n >= 1."""
     if m < 1 or n < 1:
         raise ValueError("both part sizes must be at least 1")
-    edges = frozenset((b, w) for b in range(m) for w in range(m, m + n))
-    return Graph(m + n, edges, black_count=m)
+    edges = tuple(product(range(m), range(m, m + n)))
+    return Graph._trusted(m + n, edges, black_count=m)
 
 
 def _find(parent: list, x: int) -> int:
@@ -220,9 +232,10 @@ class LineReader:
         except ValueError:
             raise self.error(f"non-integer in {what}: {ln!r}") from None
 
-    def pairs(self, k: int, what: str) -> frozenset:
+    def pairs(self, k: int, what: str) -> tuple:
         """The next k lines as ``u v`` edges, each normalized to u < v; they
-        must be k distinct edges."""
+        must be k distinct edges. Returns them as a list in file order and
+        as a frozenset."""
         start = self.pos
         if k < 0:
             raise self.error(f"negative number of {what}s")
@@ -241,7 +254,7 @@ class LineReader:
                 if e in seen:
                     raise self.error(f"duplicate edges: {e} is listed twice", start + i)
                 seen.add(e)
-        return edges
+        return norm, edges
 
     def _bulk_pairs(self, k: int) -> list:
         """The next k lines parsed in one go as normalized pairs; ValueError
@@ -260,7 +273,7 @@ def read_graph(r: LineReader) -> Graph:
     n, m = r.ints("'n m' header", count=2)
     if n < 0 or m < 0:
         raise r.error("negative counts in header")
-    edges = r.pairs(m, "edge line")
+    listed, edges = r.pairs(m, "edge line")
     black_count = None
     ln = r.peek()
     if ln is not None and ln.startswith("colors"):
@@ -269,9 +282,13 @@ def read_graph(r: LineReader) -> Graph:
             raise r.error(f"colors {b}+{w} do not sum to n={n}")
         black_count = b
     try:
-        return Graph(n, edges, black_count=black_count)
+        g = Graph(n, edges, black_count=black_count)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    # files list their edges sorted as a rule, and timsort takes a sorted
+    # list in one linear pass
+    g.__dict__["sorted_edges"] = tuple(sorted(listed))
+    return g
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -19,8 +19,8 @@ counted: every remaining face runs through one of the last vertex's darts,
 so when that count plus its degree falls short of Euler's, none of its
 orders can succeed and all are skipped. The first admissible system found is
 the same as a plain ``itertools.product`` scan would find, and before it is
-returned it is traced again with ``trace_rotation`` and checked with face
-sets; a disagreement raises ``AssertionError``.
+returned it is traced again by ``PlaneDrawing``'s own dart tracer and
+checked with its face masks; a disagreement raises ``AssertionError``.
 
 The subset sweep searches only subsets that might be maximal members. Two
 twins (vertices u, v with N(u) - {v} = N(v) - {u}) can be swapped by an
@@ -28,7 +28,7 @@ automorphism, and swaps within the twin classes give the whole group of K_n
 and K_{m,n} with m != n. When the kernel rejects a subset, its whole orbit
 under these swaps is rejected with it. When it accepts one, the witness is
 carried through the vertex map that reaches each other subset of the orbit,
-checked once with face sets, and kept until the sweep reaches that subset;
+checked once with face masks, and kept until the sweep reaches that subset;
 so only the first member of each orbit (in sweep order) has the kernel's
 first witness in product order, and the others have a relabeled one.
 
@@ -50,7 +50,9 @@ from dataclasses import dataclass
 from math import ceil
 
 from .certify import UncrossedCertificate
-from .embedding import PlaneDrawing, trace_rotation
+from .embedding import PlaneDrawing
+# benchmarks/tracing.py wraps this binding; nothing here calls it
+from .embedding import trace_rotation  # noqa: F401
 from .errors import OracleCapError
 from .graph import Graph, edges_connected, is_connected, normalize_edge
 
@@ -193,23 +195,17 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
             rotation = tuple(
                 cand[v][rows[v].index(r)] for v, r in enumerate(prefix + (row,))
             )
-            _confirm(host, edges, rotation, undrawn)
-            return PlaneDrawing(host, edges, rotation), True
+            return _confirm(PlaneDrawing(host, edges, rotation), undrawn), True
     return None, planar
 
 
-def _confirm(host: Graph, edges: frozenset, rotation: tuple, undrawn: list) -> None:
-    """Re-check a kernel witness with the general face tracer."""
-    faces = trace_rotation({v: rotation[v] for v in range(host.n)})
-    ok = host.n - len(edges) + (len(faces) or 1) == 2
-    if ok:
-        vertex_faces: dict[int, set] = {v: set() for v in range(host.n)}
-        for f in faces:
-            for v in f.vertices:
-                vertex_faces[v].add(f.id)
-        ok = all(vertex_faces[u] & vertex_faces[v] for u, v in undrawn)
-    if not ok:
-        raise AssertionError(f"face tracer rejects the kernel's rotation {rotation}")
+def _confirm(d: PlaneDrawing, undrawn: list) -> PlaneDrawing:
+    """Re-check a kernel witness with the drawing's own face tracer."""
+    masks = d.face_masks
+    if not (d.host.n - len(d.drawn) + (d.face_count or 1) == 2
+            and all(masks[u] & masks[v] for u, v in undrawn)):
+        raise AssertionError(f"face tracer rejects the kernel's rotation {d.rotation}")
+    return d
 
 
 def _twin_swaps(host: Graph) -> list:
@@ -269,8 +265,7 @@ def _relabeled(host: Graph, witness: PlaneDrawing, vmap: tuple) -> PlaneDrawing:
     for v, order in enumerate(witness.rotation):
         rotation[vmap[v]] = tuple(vmap[u] for u in order)
     edges = frozenset(normalize_edge(vmap[u], vmap[v]) for u, v in witness.drawn)
-    _confirm(host, edges, rotation, sorted(host.edges - edges))
-    return PlaneDrawing(host, edges, rotation)
+    return _confirm(PlaneDrawing(host, edges, rotation), sorted(host.edges - edges))
 
 
 def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
@@ -286,7 +281,7 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     rejected with it. Members come in the plain sweep's order. The first
     member of each twin-swap orbit gets the kernel's first witness; the
     other members of the orbit get that witness relabeled through the
-    swaps, each checked once with face sets. ``cap`` bounds the host edge
+    swaps, each checked once with face masks. ``cap`` bounds the host edge
     count this is willing to process at all.
     """
     if host.n == 0:

@@ -6,6 +6,14 @@ with the outer face pinned), drawn edges are solid, undrawn edges are dashed
 curves routed through a face both endpoints touch. Undrawn edges whose
 endpoints share no face are flagged in red, which makes verifier failures
 visible at a glance.
+
+The barycentric layout (Tutte, "How to draw a graph", 1963) puts every
+interior vertex at the mean of its drawn neighbours. That system splits
+into one block per connected component of the interior: a vertex alone in
+its component sits at the mean of its pinned neighbours, and only larger
+components go to ``numpy.linalg.solve``. A component with no pinned
+neighbour has no unique solution, and the whole drawing then falls back to
+the circle layout.
 """
 
 from __future__ import annotations
@@ -138,8 +146,6 @@ def _double_cycle_positions(d: PlaneDrawing) -> dict | None:
 
 
 def _tutte_positions(d: PlaneDrawing) -> dict:
-    import numpy as np  # only this layout needs it; keeps the CLI import light
-
     n = d.host.n
     if not d.drawn:
         return _circle_positions(d)
@@ -159,38 +165,67 @@ def _tutte_positions(d: PlaneDrawing) -> dict:
     for j, v in enumerate(boundary):
         a = 2 * math.pi * j / k - math.pi / 2
         pos[v] = (math.cos(a), math.sin(a))
-    interior = [v for v in range(n) if v not in pos]
-    if not interior:
-        return pos
-    idx = {v: i for i, v in enumerate(interior)}
     adj: dict[int, list] = {v: [] for v in range(n)}
     for u, v in d.drawn:
         adj[u].append(v)
         adj[v].append(u)
-    a_mat = np.zeros((len(interior), len(interior)))
-    bx = np.zeros(len(interior))
-    by = np.zeros(len(interior))
-    for v in interior:
-        i = idx[v]
-        deg = len(adj[v])
-        if deg == 0:
-            a_mat[i, i] = 1.0
+    # one barycentric system per connected component of the interior
+    interior = {v for v in range(n) if v not in pos}
+    seen: set = set()
+    for v in sorted(interior):
+        if v in seen:
             continue
-        a_mat[i, i] = float(deg)
+        comp = [v]
+        seen.add(v)
+        for w in comp:
+            for u in adj[w]:
+                if u in interior and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        if len(comp) > 1:
+            solved = _solve_component(comp, adj, pos)
+            if solved is None:
+                return _circle_positions(d)
+            pos.update(solved)
+            continue
+        # every neighbour is pinned: the vertex sits at their mean
+        x = y = 0.0
+        for u in adj[v]:
+            x += pos[u][0]
+            y += pos[u][1]
+        deg = len(adj[v]) or 1
+        pos[v] = (x / deg, y / deg)
+    return pos
+
+
+def _solve_component(comp: list, adj: dict, pos: dict) -> dict | None:
+    """Barycentric positions of one connected set of interior vertices with
+    the boundary in ``pos`` pinned, or None when the system is singular (no
+    boundary neighbour)."""
+    import numpy as np  # only these systems need it; keeps the CLI import light
+
+    idx = {v: i for i, v in enumerate(comp)}
+    a_mat = np.zeros((len(comp), len(comp)))
+    bx = np.zeros(len(comp))
+    by = np.zeros(len(comp))
+    pinned = False
+    for v, i in idx.items():
+        a_mat[i, i] = float(len(adj[v]))
         for u in adj[v]:
             if u in idx:
                 a_mat[i, idx[u]] -= 1.0
             else:
+                pinned = True
                 bx[i] += pos[u][0]
                 by[i] += pos[u][1]
+    if not pinned:
+        return None
     try:
         xs = np.linalg.solve(a_mat, bx)
         ys = np.linalg.solve(a_mat, by)
     except np.linalg.LinAlgError:
-        return _circle_positions(d)
-    for v in interior:
-        pos[v] = (float(xs[idx[v]]), float(ys[idx[v]]))
-    return pos
+        return None
+    return {v: (float(xs[i]), float(ys[i])) for v, i in idx.items()}
 
 
 def _positions(d: PlaneDrawing, layout: str) -> dict:

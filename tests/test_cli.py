@@ -401,6 +401,36 @@ def test_ecr_witness_render_pinned(tmp_path, k5_file):
     )
 
 
+def test_ecr_witness_and_collection_renders_pinned(tmp_path):
+    # a 115-vertex ecr target, and K_{6,9}, three of whose drawings take
+    # the barycentric layout; pinned where one dense system solved them all
+    graph, parts = tmp_path / "g.txt", tmp_path / "g.parts"
+    graph.write_text("6 9\n0 1\n0 2\n0 3\n0 5\n1 2\n1 4\n2 3\n3 4\n4 5\n")
+    parts.write_text("part 1\n0 1\n1 2\n2 3\n3 4\n4 5\n0 5\n0 2\n")
+    cert, svg = str(tmp_path / "e.cert"), str(tmp_path / "e.svg")
+    assert run_cap("reduce", "ecr", "--graph", str(graph), "-k", "7",
+                   "--witness", str(parts), "--emit-cert", cert)[0] == 0
+    assert run_cap("render", "--cert", cert, "-o", svg)[0] == 0
+    assert _sha256(open(svg).read()) == (
+        "3bf5556c338cd8b196f48eb2f5e09657f083e074264a512f5f3d1a1bf9d3268e"
+    )
+    assert run_cap("construct", "collection", "6", "9", "-o", cert)[0] == 0
+    assert run_cap("render", "--cert", cert, "-o", svg)[0] == 0
+    assert _sha256(open(svg).read()) == (
+        "0ffd106c196cbffc14eeca8af879c1f32b51a4f1ff8f09eeb8c7db219c76c58d"
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "render"])
+def test_certificate_host_with_no_vertices_refused(tmp_path, command):
+    p = tmp_path / "g0.cert"
+    p.write_text("graph\n0 0\ndrawing 1\nedges 0\nrotation\n")
+    code, out, err = run_cap(command, "--cert", str(p))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: certificate requires a host with at least one vertex\n"
+
+
 @pytest.mark.parametrize("construct, code, digest", [
     (("wheel", "200"), 1,
      "49cbf553662216bb8b9f69a85a0ab959bea6a387c7ecf54bfbf6aafbcfbcedfd"),

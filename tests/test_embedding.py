@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -26,7 +27,8 @@ from uncrossed import (
     outerplanar_extension,
     trace_faces,
 )
-from uncrossed.embedding import OuterBuilder, trace_rotation
+from uncrossed.embedding import OuterBuilder, _embed_component_outerplanar, trace_rotation
+from uncrossed.graph import connected_components
 
 
 def triangle_drawing():
@@ -251,3 +253,112 @@ def test_outer_builder_expand_edge_keeps_admissibility():
     assert is_planar_embedding(d)
     assert d.undrawn == frozenset({(0, 1)})
     assert cofacial(d, 0, 1)
+
+
+def _seeded_rotations(rng, count):
+    """Random graphs with a random cyclic order around every vertex, so
+    most of the rotation systems are not planar."""
+    for _ in range(count):
+        n, edges = H.random_graph(rng, rng.randint(1, 9), rng.uniform(0.2, 0.9))
+        adj = H._adj_sets(n, edges)
+        yield Graph(n, edges), tuple(tuple(rng.sample(sorted(a), len(a))) for a in adj)
+
+
+def _faces_in_id_order(rotation) -> list:
+    """Face vertex sets, a face numbered by its first dart when darts are
+    listed by tail vertex, then by position in the tail's rotation."""
+    nxt = {}
+    for v, ring in enumerate(rotation):
+        for i, u in enumerate(ring):
+            nxt[(u, v)] = (v, ring[(i + 1) % len(ring)])
+    faces, seen = [], set()
+    for v, ring in enumerate(rotation):
+        for u in ring:
+            dart, verts = (v, u), set()
+            while dart not in seen:
+                seen.add(dart)
+                verts.add(dart[0])
+                dart = nxt[dart]
+            if verts:
+                faces.append(frozenset(verts))
+    return faces
+
+
+def test_dart_tracer_matches_reference_tracers():
+    rng = random.Random(2024)
+    nonplanar = 0
+    for host, rotation in _seeded_rotations(rng, 150):
+        d = PlaneDrawing(host, host.edges, rotation)
+        opposite = H._faces_cw({v: r for v, r in enumerate(rotation) if r})
+        assert d.face_count == len(opposite)
+        assert Counter(f.vertices for f in d.faces) == Counter(map(frozenset, opposite))
+        ordered = _faces_in_id_order(rotation)
+        assert [f.vertices for f in d.faces] == ordered
+        assert d.face_masks == tuple(
+            sum(1 << f for f, verts in enumerate(ordered) if v in verts)
+            for v in range(host.n)
+        )
+        connected = H.connected(host.n, host.edges)
+        nonplanar += connected and host.n - host.m + d.face_count != 2
+    assert nonplanar >= 50
+
+
+def _first_rotation_problem(rotation: dict) -> str | None:
+    for v in sorted(rotation):
+        order = rotation[v]
+        if len(set(order)) != len(order):
+            return f"repeated neighbor around vertex {v}"
+        for u in order:
+            if u == v:
+                return f"self-dart at vertex {v}"
+            if u not in rotation or v not in rotation[u]:
+                return f"dart ({v}, {u}) has no reverse in the rotation"
+    return None
+
+
+def test_malformed_rotations_keep_their_messages():
+    rng = random.Random(7)
+    kinds = Counter()
+    for host, rotation in _seeded_rotations(rng, 300):
+        rot = [list(r) for r in rotation]
+        v = rng.randrange(host.n)
+        kind = rng.choice(("repeat", "self", "drop", "foreign"))
+        if kind == "repeat" and rot[v]:
+            rot[v].insert(rng.randrange(len(rot[v]) + 1), rng.choice(rot[v]))
+        elif kind == "self":
+            rot[v].insert(rng.randrange(len(rot[v]) + 1), v)
+        elif kind == "drop" and rot[v]:
+            rot[v].pop(rng.randrange(len(rot[v])))
+        elif kind == "foreign":
+            rot[v].append(host.n + 3)
+        want = _first_rotation_problem(dict(enumerate(rot)))
+        if want is None:
+            continue
+        kinds[kind] += 1
+        with pytest.raises(MalformedRotationError) as exc:
+            trace_rotation(dict(enumerate(rot)))
+        assert str(exc.value) == want
+        d = PlaneDrawing(host, host.edges, rot)
+        with pytest.raises(MalformedRotationError) as exc:
+            d.face_masks
+        assert str(exc.value) == want
+    assert min(kinds[k] for k in ("repeat", "self", "drop", "foreign")) >= 20
+
+
+def test_outer_walk_is_the_first_face_through_every_vertex():
+    # the walk the embedder derives from its block orders is the face the
+    # tracer finds first among those through every vertex
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(300):
+        n, edges = H.random_graph(rng, rng.randint(2, 8), rng.uniform(0.3, 0.8))
+        g = Graph(n, edges)
+        for comp in connected_components(n, g.edges):
+            sub = sorted(e for e in g.sorted_edges if e[0] in comp)
+            if len(comp) < 2 or not H.outerplanar_bruteforce(n, sub):
+                continue
+            rotation, walk = _embed_component_outerplanar(comp, sub)
+            first = next(f for f in trace_rotation(rotation) if f.vertices >= set(comp))
+            assert walk == list(first.walk)
+            checked += 1
+    assert checked >= 100

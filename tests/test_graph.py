@@ -16,6 +16,8 @@ from uncrossed import (
     is_connected,
     parse_edge_list,
 )
+from uncrossed.certify import parse_certificate, serialize_certificate
+from uncrossed.constructions import bipartite_uncrossed_collection
 from uncrossed.graph import connected_components, edges_connected, normalize_edge
 
 
@@ -130,3 +132,46 @@ def test_edges_connected_matches_reference():
         assert got == H.connected(n, edges), (n, sorted(edges))
         outcomes.add(got)
     assert outcomes == {True, False}
+
+
+def _same_graph(got: Graph, want: Graph):
+    assert got == want and hash(got) == hash(want)
+    assert got.edges == want.edges and got.black_count == want.black_count
+    assert got.sorted_edges == want.sorted_edges == tuple(sorted(want.edges))
+    assert got.adjacency == want.adjacency
+    assert got.edge_index == want.edge_index
+
+
+def test_trusted_complete_hosts_equal_checked_graphs():
+    for n in range(1, 9):
+        pairs = [(v, u) for u in range(n) for v in range(u + 1, n)]
+        _same_graph(complete_graph(n), Graph(n, pairs))
+    for m in range(1, 5):
+        for n in range(1, 6):
+            pairs = [(w, b) for b in range(m) for w in range(m, m + n)]
+            _same_graph(complete_bipartite(m, n), Graph(m + n, pairs, black_count=m))
+
+
+def test_parsed_hosts_equal_checked_graphs_in_any_line_order():
+    rng = random.Random(3)
+    for _ in range(40):
+        n, edges = H.random_graph(rng, rng.randint(1, 12), rng.random())
+        want = Graph(n, edges)
+        lines = [f"{u} {v}" if rng.random() < 0.5 else f"{v} {u}" for u, v in edges]
+        rng.shuffle(lines)
+        _same_graph(parse_edge_list("\n".join([f"{n} {len(edges)}"] + lines) + "\n"), want)
+
+
+def test_certificate_with_shuffled_host_lines_parses_to_the_same_host():
+    cert = bipartite_uncrossed_collection(3, 5)
+    text = serialize_certificate(cert)
+    lines = text.splitlines()
+    m = cert.host.m
+    body = lines[2:2 + m]
+    random.Random(5).shuffle(body)
+    shuffled = "\n".join(lines[:2] + body + lines[2 + m:]) + "\n"
+    assert shuffled != text
+    back = parse_certificate(shuffled)
+    _same_graph(back.host, cert.host)
+    _same_graph(back.host, Graph(8, list(cert.host.edges), black_count=3))
+    assert serialize_certificate(back) == text
