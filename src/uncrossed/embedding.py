@@ -423,13 +423,19 @@ def _embed_component_outerplanar(vertices: list, edges: list) -> tuple:
             p = pos[v]
             fans[v].extend(sorted(nbrs[v], key=lambda u: (pos[u] - p) % k))
     rotation = {v: tuple(fans[v]) for v in vertices}
-    # every fan starts after an outer corner, so slot 0, the dart from the
-    # lowest vertex to its first neighbour, lies on the outer face
-    tails, heads, succ = _dart_slots(rotation)
-    walk, s = [], 0
-    while not walk or s:
-        walk.append((tails[s], heads[s]))
-        s = succ[s]
+    # every fan starts after an outer corner, so the dart from the lowest
+    # vertex to its first neighbour (the tracer's slot 0) lies on the outer
+    # face; only that face is walked
+    where = {v: {u: i for i, u in enumerate(r)} for v, r in rotation.items()}
+    start = (vertices[0], rotation[vertices[0]][0])
+    walk = [start]
+    u, v = start
+    while True:
+        ring = rotation[v]
+        u, v = v, ring[(where[v][u] + 1) % len(ring)]
+        if (u, v) == start:
+            break
+        walk.append((u, v))
     if len({a for a, _ in walk}) != len(vertices):
         raise AssertionError("block embedding left a vertex off the outer walk")
     return rotation, walk

@@ -131,9 +131,9 @@ def _interior_component_sizes(d: PlaneDrawing) -> list:
         comp = [v]
         seen.add(v)
         for w in comp:
-            for e in d.drawn:
-                u = e[0] + e[1] - w
-                if w in e and u in interior and u not in seen:
+            for a, b in d.drawn:
+                u = b if a == w else a if b == w else None
+                if u in interior and u not in seen:
                     seen.add(u)
                     comp.append(u)
         sizes.append(len(comp))
