@@ -5,6 +5,10 @@ for its host: each drawing is admissible (connected, spanning, planar by
 Euler count, undrawn endpoints cofacial) and every host edge is drawn in at
 least one member. Verification is a pure recomputation from the rotation
 systems; it never trusts any derived data stored alongside.
+
+``verify_certificate`` returns a ``CertificateReport``: the verdict, one
+``AdmissibilityReport`` per drawing, and the host edges that no drawing
+draws, in sorted order, taken once from the union of the drawn sets.
 """
 
 from __future__ import annotations
@@ -112,11 +116,7 @@ class CertificateReport:
 
     ok: bool
     drawing_reports: tuple  # tuple[AdmissibilityReport, ...]
-    edge_witness: tuple  # tuple[(edge, first drawing index), ...] sorted by edge
-    uncovered: tuple  # tuple[Edge, ...]
-
-    def witness_map(self) -> dict:
-        return dict(self.edge_witness)
+    uncovered: tuple  # tuple[Edge, ...] in sorted order
 
     def lines(self) -> list:
         out = []
@@ -136,19 +136,10 @@ class CertificateReport:
 def verify_certificate(c: UncrossedCertificate) -> CertificateReport:
     """Verify every drawing and the coverage claim of a certificate."""
     reports = tuple(verify_drawing(c.host, d) for d in c.drawings)
-    witness: dict = {}
-    for i, d in enumerate(c.drawings):
-        for e in d.drawn:
-            if e in c.host.edges:
-                witness.setdefault(e, i)
-    uncovered = tuple(e for e in c.host.sorted_edges if e not in witness)
+    covered = frozenset().union(*(d.drawn for d in c.drawings))
+    uncovered = tuple(e for e in c.host.sorted_edges if e not in covered)
     ok = all(r.ok for r in reports) and not uncovered and c.size >= 1
-    return CertificateReport(
-        ok=ok,
-        drawing_reports=reports,
-        edge_witness=tuple(sorted(witness.items())),
-        uncovered=uncovered,
-    )
+    return CertificateReport(ok=ok, drawing_reports=reports, uncovered=uncovered)
 
 
 def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:

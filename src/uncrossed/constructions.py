@@ -273,21 +273,19 @@ def double_cycle_cover_minus_one(m: int) -> DoubleCycleCover:
     )
 
 
-def embed_double_cycle(c: DoubleCycle) -> PlaneDrawing:
+def embed_double_cycle(c: DoubleCycle, host: Graph | None = None) -> PlaneDrawing:
     """Admissible drawing of K_{m,n} from one double cycle.
 
     The first white of each pair goes inside the black cycle, the second
     outside; leaves and any whites the cycle does not use hang inside. Both
     big faces border every black, so all undrawn black-white pairs are
-    cofacial. Requires the cycle to pass through all m blacks.
+    cofacial. Requires the cycle to pass through all m blacks. ``host``, when
+    given, must be K_{m,n}; the cycles of one cover share it.
     """
-    return _embed_double_cycle(c, complete_bipartite(c.m, c.n))
-
-
-def _embed_double_cycle(c: DoubleCycle, host: Graph) -> PlaneDrawing:
-    """embed_double_cycle on a prebuilt K_{m,n}, shared by every cycle of a cover."""
     if set(c.black_cycle) != set(range(c.m)):
         raise ValueError("embedding needs the cycle to visit every black")
+    if host is None:
+        host = complete_bipartite(c.m, c.n)
     k = c.k
     used = {w for q in c.quad_whites for w in q}
     used.update(w for L in c.leaves for w in L)
@@ -462,7 +460,7 @@ def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
         cover = double_cycle_cover_minus_one(m)
     else:
         cover = double_cycle_cover(m, n)
-    drawings = tuple(_embed_double_cycle(c, host) for c in cover.cycles)
+    drawings = tuple(embed_double_cycle(c, host) for c in cover.cycles)
     return UncrossedCertificate(host, drawings)
 
 

@@ -21,7 +21,12 @@ only for the renderer and callers of ``faces``, ``outer_face`` and
 
 Outerplanar embedding is pure Python, one biconnected block at a time (the
 degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
-general planarity test ``is_planar_graph``.
+general planarity test ``is_planar_graph``. ``OuterBuilder`` places such
+components around one shared outer region and joins them by bridges through
+it; it tracks components with ``graph._find`` over a dict of the vertices
+placed so far. ``outerplanar_extension`` bridges in one pass over the host's
+sorted edges, and the reduction witnesses grow the builder that checked
+their input's outerplanarity.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .errors import MalformedRotationError, NotOuterplanarError
 from .graph import (
     Edge,
     Graph,
+    _find,
     connected_components,
     edges_connected,
     normalize_edge,
@@ -158,9 +164,12 @@ class PlaneDrawing:
     outer_dart: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "drawn", frozenset(normalize_edge(u, v) for u, v in self.drawn)
-        )
+        # builders and the parser pass a normalized frozenset: keep it after
+        # one check; anything else is normalized pair by pair
+        if not (isinstance(self.drawn, frozenset) and all(u < v for u, v in self.drawn)):
+            object.__setattr__(
+                self, "drawn", frozenset(normalize_edge(u, v) for u, v in self.drawn)
+            )
         object.__setattr__(self, "rotation", tuple(tuple(r) for r in self.rotation))
         if len(self.rotation) != self.host.n:
             raise ValueError(
@@ -476,15 +485,8 @@ class OuterBuilder:
         self._parent: dict[int, int] = {}
         self.drawn: set[Edge] = set()
 
-    def _find(self, x: int) -> int:
-        p = self._parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
     def _union(self, x: int, y: int):
-        rx, ry = self._find(x), self._find(y)
+        rx, ry = _find(self._parent, x), _find(self._parent, y)
         if rx != ry:
             self._parent[max(rx, ry)] = min(rx, ry)
 
@@ -530,7 +532,7 @@ class OuterBuilder:
     def components(self) -> list[list[int]]:
         groups: dict[int, list[int]] = {}
         for v in self.rotation:
-            groups.setdefault(self._find(v), []).append(v)
+            groups.setdefault(_find(self._parent, v), []).append(v)
         return [sorted(groups[r]) for r in sorted(groups)]
 
     def _insert_after_anchor(self, v: int, w: int):
@@ -547,7 +549,7 @@ class OuterBuilder:
         for x in (u, v):
             if x not in self.rotation:
                 self.add_vertex(x)
-        if self._find(u) == self._find(v):
+        if _find(self._parent, u) == _find(self._parent, v):
             raise ValueError(f"bridge ({u}, {v}) would close a cycle")
         self._insert_after_anchor(u, v)
         self._insert_after_anchor(v, u)
@@ -630,16 +632,15 @@ def outerplanar_extension(host: Graph, edges) -> PlaneDrawing:
             raise ValueError(f"edge {e} is not a host edge")
     builder = OuterBuilder()
     builder.add_outerplanar(host.n, edge_set)
-    # connect through the outer region using host edges
-    changed = True
-    while len(builder.components()) > 1 and changed:
-        changed = False
-        for u, v in host.sorted_edges:
-            if builder._find(u) != builder._find(v):
-                builder.add_bridge(u, v)
-                changed = True
-                if len(builder.components()) == 1:
-                    break
-    if len(builder.components()) > 1:
+    # connect through the outer region using host edges; one pass suffices,
+    # since after it both ends of every host edge share a component
+    left = len(builder.components())
+    for u, v in host.sorted_edges:
+        if left <= 1:
+            break
+        if _find(builder._parent, u) != _find(builder._parent, v):
+            builder.add_bridge(u, v)
+            left -= 1
+    if left > 1:
         raise ValueError("host graph is not connected")
     return builder.build(host)

@@ -171,7 +171,10 @@ def recognize_complete_bipartite(g: Graph) -> tuple | None:
 
 
 def bound_report(g: Graph) -> BoundReport:
-    """Best known bracketing of unc(g) from closed forms and counting bounds."""
+    """Best known bracketing of unc(g) from closed forms and counting bounds.
+    Requires g to have at least one vertex."""
+    if g.n == 0:
+        raise ValueError("bound requires a graph with at least one vertex")
     mn = recognize_complete_bipartite(g)
     if mn is not None:
         m, nn = mn

@@ -127,8 +127,9 @@ def complete_bipartite(m: int, n: int) -> Graph:
     return Graph._trusted(m + n, edges, black_count=m)
 
 
-def _find(parent: list, x: int) -> int:
-    """Union-find root of x, halving the path on the way."""
+def _find(parent, x: int) -> int:
+    """Union-find root of x in ``parent`` (a list, or a dict over the
+    vertices placed so far), halving the path on the way."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
@@ -150,20 +151,7 @@ def connected_components(n: int, edges: Iterable[Edge]) -> list[list[int]]:
 
 def is_connected(g: Graph) -> bool:
     """True iff g has a single component spanning every vertex."""
-    if g.n <= 1:
-        return True
-    seen = [False] * g.n
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == g.n
+    return g.n <= 1 or edges_connected(g.n, g.edges)
 
 
 def edges_connected(n: int, edges: frozenset) -> bool:

@@ -124,13 +124,13 @@ def ecr_forward_witness(inst: ReductionInstance, h_edges) -> PlaneDrawing:
         raise ValueError("witness edges must be source edges")
     if len(h) < inst.k:
         raise ValueError(f"witness has {len(h)} edges, below k = {inst.k}")
-    ok, _ = is_outerplanar(Graph(g.n, h))
-    if not ok:
-        raise NotOuterplanarError("witness subgraph is not outerplanar")
+    builder = OuterBuilder()
+    try:
+        builder.add_outerplanar(g.n, sorted(h))
+    except NotOuterplanarError:
+        raise NotOuterplanarError("witness subgraph is not outerplanar") from None
     bundles = inst.gadget_map["bundles"]
     center = inst.gadget_map["center"]
-    builder = OuterBuilder()
-    builder.add_outerplanar(g.n, sorted(h))
     for u, v in sorted(h):
         builder.expand_edge(u, v, list(bundles[(u, v)]))
     for u, v in g.sorted_edges:
@@ -167,21 +167,23 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
     if not 2 <= len(part_sets) <= inst.budget:
         raise ValueError(f"need between 2 and {inst.budget} parts")
     union: set = set()
+    builders = []
     for p in part_sets:
         if not p <= g.edges:
             raise ValueError("part edges must be source edges")
-        ok, _ = is_outerplanar(Graph(g.n, p))
-        if not ok:
-            raise NotOuterplanarError("a part is not outerplanar")
+        builder = OuterBuilder()
+        try:
+            builder.add_outerplanar(g.n, sorted(p))
+        except NotOuterplanarError:
+            raise NotOuterplanarError("a part is not outerplanar") from None
+        builders.append(builder)
         union |= p
     if union != set(g.edges):
         raise ValueError(f"parts miss {len(set(g.edges) - union)} source edges")
     center = inst.gadget_map["center"]
     paths = inst.gadget_map["paths"]
     drawings = []
-    for i, part in enumerate(part_sets):
-        builder = OuterBuilder()
-        builder.add_outerplanar(g.n, sorted(part))
+    for i, builder in enumerate(builders):
         if i == 0:
             for v in range(g.n):
                 builder.add_bridge(v, paths[v])

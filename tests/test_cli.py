@@ -192,6 +192,15 @@ def test_oracle_refuses_a_host_with_no_vertices(tmp_path, quantity):
     assert out == ""
 
 
+def test_bound_refuses_a_graph_with_no_vertices(tmp_path):
+    p = tmp_path / "g0.txt"
+    p.write_text("0 0\n")
+    code, out, err = run_cap("bound", "--graph", str(p))
+    assert code == 2
+    assert err == "error: bound requires a graph with at least one vertex\n"
+    assert out == ""
+
+
 def test_reduce_ecr_with_witness(tmp_path):
     g = tmp_path / "tri.txt"
     g.write_text(TRIANGLE_TEXT)

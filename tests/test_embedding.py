@@ -6,6 +6,7 @@ force reference routes in helpers.py, which share no code with the package.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -27,6 +28,7 @@ from uncrossed import (
     outerplanar_extension,
     trace_faces,
 )
+from uncrossed.certify import serialize_drawing, verify_drawing
 from uncrossed.embedding import OuterBuilder, _embed_component_outerplanar, trace_rotation
 from uncrossed.graph import connected_components
 
@@ -208,6 +210,40 @@ def test_outerplanar_extension_places_isolated_vertices():
     assert is_planar_embedding(d)
     for u, v in sorted(d.undrawn):
         assert cofacial(d, u, v), (u, v)
+
+
+def _extension_cases():
+    """Seeded connected hosts, each with a greedy outerplanar part that
+    leaves 3 to 6 components, so that several bridges are drawn."""
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(8, 14)
+        edges = {(rng.randrange(v), v) for v in range(1, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3}
+        host = Graph(n, edges)
+        order = list(host.sorted_edges)
+        rng.shuffle(order)
+        k = rng.randint(3, 6)
+        part = []
+        for e in order:
+            if (len(connected_components(n, part + [e])) >= k
+                    and is_outerplanar(Graph(n, part + [e]))[0]):
+                part.append(e)
+        yield host, part
+
+
+def test_outerplanar_extension_bridges_pinned():
+    # sha256 of the serialized drawings: which host edges become bridges,
+    # and in what order, is fixed
+    h = hashlib.sha256()
+    for host, part in _extension_cases():
+        assert len(connected_components(host.n, part)) >= 3
+        d = outerplanar_extension(host, part)
+        assert verify_drawing(host, d).ok
+        h.update(serialize_drawing(d).encode())
+    assert h.hexdigest() == (
+        "bf51143c7c8d95ce3c4845a95c0cb3f0c57b56ac75e4f5a5c670e1903b4447ca"
+    )
 
 
 def test_outerplanar_extension_rejects_non_outerplanar_part():

@@ -130,6 +130,7 @@ def test_edges_connected_matches_reference():
         edges = frozenset(rng.sample(pairs, rng.randint(0, len(pairs))))
         got = edges_connected(n, edges)
         assert got == H.connected(n, edges), (n, sorted(edges))
+        assert is_connected(Graph(n, edges)) == got, (n, sorted(edges))
         outcomes.add(got)
     assert outcomes == {True, False}
 

@@ -7,6 +7,7 @@ import pytest
 import helpers as H
 from uncrossed import (
     Graph,
+    NotOuterplanarError,
     complete_bipartite,
     complete_graph,
     ecr_forward_witness,
@@ -126,6 +127,27 @@ def test_ecr_forward_witness_rejects_bad_edges():
 
     with pytest.raises(NotOuterplanarError):
         ecr_forward_witness(inst2, k4.sorted_edges)
+
+
+def test_forward_witnesses_refuse_non_outerplanar_input_in_order():
+    k4 = complete_graph(4)
+    inst = reduce_mos_to_ecr(k4, 6)
+    with pytest.raises(NotOuterplanarError) as exc:
+        ecr_forward_witness(inst, k4.sorted_edges)
+    assert str(exc.value) == "witness subgraph is not outerplanar"
+    # per part: the source-edge check, then outerplanarity; coverage last
+    k5 = complete_graph(5)
+    inst = reduce_ot_to_unc(k5, 3)
+    k4_part = list(k4.sorted_edges)
+    with pytest.raises(NotOuterplanarError) as exc:
+        unc_forward_witness(inst, [[(0, 4)], k4_part, [(0, 9)]])
+    assert str(exc.value) == "a part is not outerplanar"
+    with pytest.raises(ValueError) as exc:
+        unc_forward_witness(inst, [[(0, 4)], [(0, 9)], k4_part])
+    assert str(exc.value) == "part edges must be source edges"
+    with pytest.raises(NotOuterplanarError) as exc:
+        unc_forward_witness(inst, [[(0, 4)], k4_part])
+    assert str(exc.value) == "a part is not outerplanar"
 
 
 def test_unc_forward_witness_two_parts():
