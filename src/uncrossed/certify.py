@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .embedding import PlaneDrawing
 from .errors import FormatError, MalformedRotationError
 from .formulas import BoundReport, bound_report
-from .graph import Graph, LineReader, edges_connected, read_graph
+from .graph import Graph, LineReader, edges_connected, format_edge_list, read_graph
 
 
 @dataclass(frozen=True)
@@ -179,10 +179,8 @@ def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:
 
 def serialize_certificate(c: UncrossedCertificate) -> str:
     g = c.host
-    out = ["graph", f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.sorted_edges)
-    if g.black_count is not None:
-        out.append(f"colors {g.black_count} {g.n - g.black_count}")
+    # the graph section is the plain edge-list format
+    out = ["graph", format_edge_list(g)[:-1]]
     for i, d in enumerate(c.drawings):
         out.append(f"drawing {i + 1}")
         drawn = sorted(d.drawn)

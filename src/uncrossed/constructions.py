@@ -93,9 +93,9 @@ class DoubleCycle:
     """A cyclic chain of 4-cycles through all m blacks of K_{m,n}.
 
     Cycle edge p joins the blacks at positions p and p+1 of ``black_cycle``
-    and carries the fresh white pair ``quad_whites[p]`` (two whites normally;
-    a single white on the one deficient edge of the minus-one variant, whose
-    index is recorded in ``removed_edge``). ``leaves[p]`` lists extra whites
+    and carries the fresh white pair ``quad_whites[p]``: two whites normally,
+    a single white on the one deficient edge of the minus-one variant (at
+    most one edge may be deficient). ``leaves[p]`` lists extra whites
     attached only to the black at position p.
     """
 
@@ -104,7 +104,6 @@ class DoubleCycle:
     black_cycle: tuple
     quad_whites: tuple  # tuple per cycle edge: (x,) or (x, y)
     leaves: tuple  # tuple per position: leaf whites
-    removed_edge: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "black_cycle", tuple(self.black_cycle))
@@ -119,14 +118,10 @@ class DoubleCycle:
             raise ValueError("black id out of range")
         if len(self.quad_whites) != k or len(self.leaves) != k:
             raise ValueError("per-edge and per-position tuples must match cycle length")
-        singles = [p for p, q in enumerate(self.quad_whites) if len(q) == 1]
         if any(len(q) not in (1, 2) for q in self.quad_whites):
             raise ValueError("each cycle edge carries one or two whites")
-        if len(singles) > 1:
+        if sum(len(q) == 1 for q in self.quad_whites) > 1:
             raise ValueError("at most one deficient cycle edge")
-        expect = singles[0] if singles else None
-        if self.removed_edge != expect:
-            raise ValueError("removed_edge must point at the single-white edge")
         seen: set[int] = set()
         for group in list(self.quad_whites) + list(self.leaves):
             for w in group:
@@ -248,7 +243,7 @@ def _minus_one_cycle(m: int, shift: int) -> DoubleCycle:
     quads = [(m + 2 * p + 1, m + 2 * p + 2) for p in range(m - 1)]
     quads.append((m,))
     leaves = tuple(() for _ in range(m))
-    return DoubleCycle(m, n, black_cycle, tuple(quads), leaves, removed_edge=m - 1)
+    return DoubleCycle(m, n, black_cycle, tuple(quads), leaves)
 
 
 def double_cycle_cover_minus_one(m: int) -> DoubleCycleCover:
@@ -271,6 +266,14 @@ def double_cycle_cover_minus_one(m: int) -> DoubleCycleCover:
     return DoubleCycleCover(
         m, 2 * m - 1, "minus-one", tuple(cycles), tuple(shifts), tuple(degrees for _ in range(ell))
     )
+
+
+def double_cycle_cover_for(m: int, n: int) -> DoubleCycleCover:
+    """The double-cycle cover that serves K_{m,n}: deficient cycles at
+    n = 2m-1, block cycles otherwise (each checks its own range)."""
+    if n == 2 * m - 1:
+        return double_cycle_cover_minus_one(m)
+    return double_cycle_cover(m, n)
 
 
 def embed_double_cycle(c: DoubleCycle, host: Graph | None = None) -> PlaneDrawing:
@@ -456,10 +459,7 @@ def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
         return UncrossedCertificate(host, (d,))
     if n <= 2 * m - 2:
         return collection_from_outerplanar_decomposition(host, outerplanar_cover(m, n))
-    if n == 2 * m - 1:
-        cover = double_cycle_cover_minus_one(m)
-    else:
-        cover = double_cycle_cover(m, n)
+    cover = double_cycle_cover_for(m, n)
     drawings = tuple(embed_double_cycle(c, host) for c in cover.cycles)
     return UncrossedCertificate(host, drawings)
 

@@ -23,10 +23,11 @@ Outerplanar embedding is pure Python, one biconnected block at a time (the
 degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
 general planarity test ``is_planar_graph``. ``OuterBuilder`` places such
 components around one shared outer region and joins them by bridges through
-it; it tracks components with ``graph._find`` over a dict of the vertices
-placed so far. ``outerplanar_extension`` bridges in one pass over the host's
-sorted edges, and the reduction witnesses grow the builder that checked
-their input's outerplanarity.
+it; its rotation is the one record of what is drawn, and ``build`` reads the
+drawn edges off it. Components are tracked with ``graph._find`` over a dict
+of the vertices placed so far. ``outerplanar_extension`` bridges in one pass
+over the host's sorted edges, and the reduction witnesses grow the builder
+that checked their input's outerplanarity.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import networkx as nx
 
 from .errors import MalformedRotationError, NotOuterplanarError
 from .graph import (
-    Edge,
     Graph,
     _find,
     connected_components,
@@ -93,14 +93,12 @@ def _raise_malformed(verts: list, rings: list):
     neighbours = {v: set(ring) for v, ring in zip(verts, rings)}
     for v, ring in zip(verts, rings):
         if len(neighbours[v]) != len(ring):
-            raise MalformedRotationError(f"repeated neighbor around vertex {v}", v)
+            raise MalformedRotationError(f"repeated neighbor around vertex {v}")
         for u in ring:
             if u == v:
-                raise MalformedRotationError(f"self-dart at vertex {v}", v)
+                raise MalformedRotationError(f"self-dart at vertex {v}")
             if u not in neighbours or v not in neighbours[u]:
-                raise MalformedRotationError(
-                    f"dart ({v}, {u}) has no reverse in the rotation", v
-                )
+                raise MalformedRotationError(f"dart ({v}, {u}) has no reverse in the rotation")
     raise AssertionError("rotation has no malformed dart")
 
 
@@ -476,6 +474,12 @@ class OuterBuilder:
     never splits a face, so every dart previously on the merged outer face
     stays there, and the two new darts join it. The net effect: all placed
     components end up with all their outer-walk vertices on one shared face.
+
+    ``rotation`` is the only record of the drawn edges: {u, v} is drawn when
+    v is in ``rotation[u]``. ``outer`` holds the darts on the shared face, and
+    ``anchor[v]`` names a neighbour a whose dart (a, v) is one of them, so a
+    new edge at v goes in right after a. Every method keeps that anchor dart
+    in ``outer``.
     """
 
     def __init__(self):
@@ -483,7 +487,6 @@ class OuterBuilder:
         self.outer: dict[Dart, None] = {}  # insertion-ordered dart set
         self.anchor: dict[int, int] = {}  # v -> a with (a, v) on the outer face
         self._parent: dict[int, int] = {}
-        self.drawn: set[Edge] = set()
 
     def _union(self, x: int, y: int):
         rx, ry = _find(self._parent, x), _find(self._parent, y)
@@ -509,9 +512,6 @@ class OuterBuilder:
         for a, b in outer_walk:
             self.outer[(a, b)] = None
             self.anchor.setdefault(b, a)
-        for v in verts:
-            for u in rotation[v]:
-                self.drawn.add(normalize_edge(v, u))
 
     def add_outerplanar(self, n: int, edges):
         """Place an outerplanar edge set over vertices 0..n-1.
@@ -558,15 +558,16 @@ class OuterBuilder:
         self.outer[(v, u)] = None
         self.anchor[v] = u
         self.anchor[u] = v
-        self.drawn.add(normalize_edge(u, v))
 
     def expand_edge(self, u: int, v: int, mids: list):
         """Replace drawn edge {u, v} by parallel length-2 paths through mids.
 
         The first path hugs the face left of dart (u, v), the last the face on
-        the other side; paths in between bound new quadrilateral faces.
+        the other side; paths in between bound new quadrilateral faces. An
+        outer dart (u, v) or (v, u) gives way to the outer darts of the path
+        that replaces it, and an anchor on it moves along.
         """
-        if normalize_edge(u, v) not in self.drawn:
+        if v not in self.rotation.get(u, ()):
             raise ValueError(f"edge ({u}, {v}) is not drawn")
         if not mids:
             raise ValueError("need at least one replacement path")
@@ -579,9 +580,6 @@ class OuterBuilder:
             self.rotation[x] = [u, v]
             self._parent[x] = x
             self._union(u, x)
-            self.drawn.add(normalize_edge(u, x))
-            self.drawn.add(normalize_edge(x, v))
-        self.drawn.discard(normalize_edge(u, v))
         first, last = mids[0], mids[-1]
         if (u, v) in self.outer:
             del self.outer[(u, v)]
@@ -597,21 +595,12 @@ class OuterBuilder:
             self.anchor[last] = v
             if self.anchor.get(u) == v:
                 self.anchor[u] = last
-        for x in (u, v):
-            if self.anchor.get(x) in mids:
-                continue
-            a = self.anchor.get(x)
-            if a is not None and (a, x) not in self.outer:
-                # anchor dart vanished with the expansion; repair from outer set
-                for aa, bb in self.outer:
-                    if bb == x:
-                        self.anchor[x] = aa
-                        break
 
     def build(self, host: Graph) -> PlaneDrawing:
         rotation = tuple(tuple(self.rotation.get(v, ())) for v in range(host.n))
+        drawn = frozenset((v, u) for v, r in enumerate(rotation) for u in r if v < u)
         outer = min(self.outer) if self.outer else None
-        return PlaneDrawing(host, frozenset(self.drawn), rotation, outer_dart=outer)
+        return PlaneDrawing(host, drawn, rotation, outer_dart=outer)
 
 
 def outerplanar_extension(host: Graph, edges) -> PlaneDrawing:

@@ -8,12 +8,8 @@ class FormatError(ValueError):
 class MalformedRotationError(ValueError):
     """A rotation system is structurally inconsistent.
 
-    Carries the offending vertex when known.
+    The message names the offending vertex or dart.
     """
-
-    def __init__(self, message: str, vertex: int | None = None):
-        super().__init__(message)
-        self.vertex = vertex
 
 
 class NotOuterplanarError(ValueError):

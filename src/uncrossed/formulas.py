@@ -20,14 +20,14 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def unc_complete(n: int) -> int:
-    """Minimum uncrossed collection size for K_n. Requires n >= 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """Minimum uncrossed collection size for K_n. Requires n >= 1.
+
+    The outerthickness of K_n, except at K_4: it is planar, so one drawing
+    draws every edge.
+    """
     if n == 4:
         return 1
-    if n == 7:
-        return 3
-    return _ceil_div(n + 1, 4)
+    return outerthickness_complete(n)
 
 
 def unc_complete_bipartite(m: int, n: int) -> int:

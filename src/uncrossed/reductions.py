@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .certify import UncrossedCertificate
+from .certify import UncrossedCertificate, verify_drawing
 from .embedding import OuterBuilder, PlaneDrawing, is_outerplanar
 from .errors import NotOuterplanarError, OracleCapError
 from .graph import Graph, normalize_edge
@@ -59,12 +59,7 @@ def reduce_mos_to_ecr(g: Graph, k: int) -> ReductionInstance:
     n = g.n
     big = 2 * n
     center = n
-    edges = set()
-    star = {}
-    for v in range(n):
-        e = normalize_edge(v, center)
-        edges.add(e)
-        star[v] = e
+    edges = {(v, center) for v in range(n)}
     bundles = {}
     base = n + 1
     for j, (u, v) in enumerate(g.sorted_edges):
@@ -75,7 +70,7 @@ def reduce_mos_to_ecr(g: Graph, k: int) -> ReductionInstance:
             edges.add(normalize_edge(x, v))
     target = Graph(base + g.m * big, frozenset(edges))
     budget = big * (g.m - k) + n
-    gadget_map = {"center": center, "star": star, "bundles": bundles, "paths_per_edge": big}
+    gadget_map = {"center": center, "bundles": bundles, "paths_per_edge": big}
     return ReductionInstance("ecr", g, target, budget, k, gadget_map)
 
 
@@ -238,8 +233,6 @@ def validate_reduction_small(g: Graph, k: int | None = None, *, cap: int = 12):
     paired with a forward witness drawing, which is then rechecked for
     admissibility and for meeting its budget.
     """
-    from .certify import verify_drawing
-
     k_star, h_star = max_outerplanar_subgraph_exact(g, cap=cap)
     if k is not None and k > k_star:
         raise ValueError(f"requested k = {k} exceeds the exact maximum {k_star}")

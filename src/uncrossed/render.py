@@ -149,15 +149,7 @@ def _tutte_positions(d: PlaneDrawing) -> dict:
     n = d.host.n
     if not d.drawn:
         return _circle_positions(d)
-    try:
-        faces = d.faces
-    except Exception:
-        return _circle_positions(d)
-    if not faces:
-        return _circle_positions(d)
-    outer = d.outer_face() if d.outer_dart is not None else None
-    if outer is None:
-        outer = max(faces, key=lambda f: (len(f.vertices), -f.id))
+    outer = d.outer_face() or max(d.faces, key=lambda f: (len(f.vertices), -f.id))
     # walk order, first visits only
     boundary = list(dict.fromkeys(u for u, _ in outer.walk))
     pos = {}

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from uncrossed import complete_bipartite, format_edge_list, parse_certificate
 from uncrossed.cli import run
 
 K5_TEXT = "5 10\n" + "\n".join(
@@ -131,6 +132,37 @@ def test_construct_cover_roundtrips(tmp_path):
     assert "minus-one" in open(cover_path).read()
 
 
+@pytest.mark.parametrize("fmt", ["svg", "dot"])
+@pytest.mark.parametrize("sizes", [("9", "24"), ("3", "3")])
+def test_construct_cover_refuses_a_graphical_format_before_building(monkeypatch, fmt, sizes):
+    # K_{3,3} fits neither double-cycle scheme; the format is still what is
+    # reported, and no cover is built for either size
+    import uncrossed.constructions as cons
+
+    def no_build(*args):
+        raise AssertionError("the cover was built before the format was checked")
+
+    monkeypatch.setattr(cons, "double_cycle_cover_for", no_build)
+    code, out, err = run_cap("construct", "cover", *sizes, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err == "error: cover files have no graphical form; use collection\n"
+
+
+def test_construct_ladder_is_admissible_but_covers_half(tmp_path):
+    # one ladder of K_{4,6} draws 2m + n - 2 = 12 of the 24 edges
+    cert_path = str(tmp_path / "ladder.cert")
+    code, out, err = run_cap("construct", "ladder", "4", "6", "-o", cert_path)
+    assert code == 0 and out == ""
+    (d,) = parse_certificate(open(cert_path).read()).drawings
+    assert len(d.drawn) == 12
+    code, out, err = run_cap("verify", "--cert", cert_path, "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["drawings"] == [{"ok": True, "malformed": False, "violating_edges": []}]
+    assert not data["ok"] and len(data["uncovered"]) == 24 - 12
+
+
 def test_construct_wheel_svg(tmp_path):
     svg_path = str(tmp_path / "w.svg")
     code, out, err = run_cap("construct", "wheel", "9", "--format", "svg", "-o", svg_path)
@@ -172,6 +204,14 @@ def test_oracle_mus_without_k_refuses_before_searching(monkeypatch, k5_file):
     assert code == 2
     assert "oracle mus requires -k" in err
     assert out == ""
+
+
+def test_oracle_h_on_k33(tmp_path):
+    p = tmp_path / "k33.txt"
+    p.write_text(format_edge_list(complete_bipartite(3, 3)))
+    code, out, err = run_cap("oracle", "h", "--graph", str(p))
+    assert code == 0
+    assert out == "h = 7\n"
 
 
 def test_oracle_cap_refusal(tmp_path):

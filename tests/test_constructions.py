@@ -72,9 +72,9 @@ def test_double_cycle_validation():
         DoubleCycle(2, 2, (0,), ((2,),), ((),))  # cycle too short
     with pytest.raises(ValueError):
         DoubleCycle(3, 3, (0, 1, 0), ((3,), (4,), (5,)), ((), (), ()))  # repeated black
-    with pytest.raises(ValueError):
-        # one deficient edge but removed_edge left unset
-        DoubleCycle(2, 3, (0, 1), ((2,), (3, 4)), ((), ()))
+    with pytest.raises(ValueError, match="at most one deficient"):
+        # two cycle edges carry a single white each
+        DoubleCycle(2, 3, (0, 1), ((2,), (3,)), ((), ()))
     with pytest.raises(ValueError):
         # white reused across groups
         DoubleCycle(2, 2, (0, 1), ((2, 3), (2, 3)), ((), ()))

@@ -16,8 +16,10 @@ import pytest
 
 import helpers as H
 from uncrossed import (
+    AdmissibleFamily,
     Graph,
     OracleCapError,
+    PlaneDrawing,
     complete_bipartite,
     complete_graph,
     enumerate_admissible,
@@ -120,6 +122,57 @@ def test_unc_lower_bound_consistency():
         h = fam.max_size()
         u, _ = exact_unc(g, family=fam)
         assert u >= -(-g.m // h)
+
+
+def _hand_family(host, edge_sets) -> AdmissibleFamily:
+    """A family whose members are the given edge sets, in the oracle's order
+    (decreasing size, then lexicographic). The cover search reads only the
+    members' edges, so each witness is its edge set drawn with sorted
+    neighbour lists."""
+    members = []
+    for edges in sorted({frozenset(s) for s in edge_sets}, key=lambda e: (-len(e), sorted(e))):
+        rotation = [[] for _ in range(host.n)]
+        for u, v in sorted(edges):
+            rotation[u].append(v)
+            rotation[v].append(u)
+        members.append((edges, PlaneDrawing(host, edges, rotation)))
+    return AdmissibleFamily(host, tuple(members))
+
+
+def _min_set_cover(universe: frozenset, sets) -> int:
+    for size in range(1, len(sets) + 1):
+        for combo in itertools.combinations(sets, size):
+            if frozenset().union(*combo) == universe:
+                return size
+    raise AssertionError("the sets do not cover the universe")
+
+
+def test_exact_unc_deepens_past_a_failing_first_size():
+    # the four vertex stars of K_4 meet pairwise, so ceil(6 / 3) = 2 drawings
+    # never cover it, and two edges of one star are a member that adds
+    # nothing; seeded random families of K_5 add more such cases
+    k4 = complete_graph(4)
+    stars = [[e for e in k4.sorted_edges if v in e] for v in range(4)]
+    families = [_hand_family(k4, stars + [k4.sorted_edges[:2]])]
+    rng = random.Random(16)
+    k5 = complete_graph(5)
+    while len(families) < 40:
+        sets = [rng.sample(k5.sorted_edges, rng.randint(2, 5)) for _ in range(rng.randint(3, 7))]
+        if set().union(*sets) == k5.edges:
+            families.append(_hand_family(k5, sets))
+    deepened = 0
+    for fam in families:
+        g = fam.host
+        edge_sets = [e for e, _ in fam.members]
+        best = _min_set_cover(g.edges, edge_sets)
+        first = -(-g.m // fam.max_size())
+        deepened += best > first
+        size, cert = exact_unc(g, family=fam)
+        assert size == best
+        assert cert.size == size
+        witnesses = {id(w): e for e, w in fam.members}
+        assert frozenset().union(*(witnesses[id(d)] for d in cert.drawings)) == g.edges
+    assert deepened >= 10
 
 
 def test_max_uncrossed_subgraph_boundary():
