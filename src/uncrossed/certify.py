@@ -188,7 +188,7 @@ def serialize_certificate(c: UncrossedCertificate) -> str:
         out.extend(f"{u} {v}" for u, v in drawn)
         out.append("rotation")
         for v in range(g.n):
-            row = " ".join(str(u) for u in d.rotation[v])
+            row = " ".join(map(str, d.rotation[v]))
             out.append(f"{v}:" + (" " + row if row else ""))
         if d.outer_dart is not None:
             out.append(f"outer: {d.outer_dart[0]}->{d.outer_dart[1]}")

@@ -163,14 +163,15 @@ def _cmd_construct(args) -> int:
         d = cons.wheel_drawing(n)
         out = _render_or_text(args, d, serialize_drawing(d))
     elif args.what == "ladder":
-        m, n = _want_sizes(args, 2)
+        # K_{m,n} and K_{n,m} are one host, so either order is accepted
+        m, n = sorted(_want_sizes(args, 2))
         _check_host_size(max(m, 0) * max(n, 0))
         d = cons.ladder_with_leaves(m, n)
         out = _render_or_text(args, d, serialize_drawing(d))
     elif args.what == "cover":
         if args.format != "text":
             raise FormatError("cover files have no graphical form; use collection")
-        m, n = _want_sizes(args, 2)
+        m, n = sorted(_want_sizes(args, 2))
         _check_host_size(max(m, 0) * max(n, 0))
         out = cons.serialize_cover(cons.double_cycle_cover_for(m, n))
     else:  # collection

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from math import ceil
 
 from .certify import UncrossedCertificate
-from .embedding import PlaneDrawing, is_outerplanar, is_planar_graph, outerplanar_extension
-from .errors import DecompositionNotFound
+from .embedding import PlaneDrawing, is_planar_graph, outerplanar_extension
+# benchmarks/tracing.py wraps this binding; nothing here calls it
+from .embedding import is_outerplanar  # noqa: F401
+from .errors import DecompositionNotFound, NotOuterplanarError
 from .graph import Graph, LineReader, complete_bipartite, complete_graph, normalize_edge
 
 
@@ -349,74 +351,84 @@ def _chain_edges(m: int, n: int, layout, rot_off: int, start: int):
     return frozenset(edges)
 
 
-def _outerplanar(m: int, n: int, edges) -> bool:
-    ok, _ = is_outerplanar(Graph(m + n, frozenset(edges), black_count=m))
-    return ok
+def _draw(host: Graph, part) -> PlaneDrawing | None:
+    """The part drawn by outerplanar_extension, or None when not outerplanar."""
+    try:
+        return outerplanar_extension(host, part)
+    except NotOuterplanarError:
+        return None
+
+
+def _search_layouts(m: int, n: int) -> list:
+    """Block sizes of the chains that the n in {m, m+1} search rotates."""
+    if n == m:
+        return [(2,) + (3,) * (m - 2) + (2,)]
+    return [(3,) * (m - 1) + (2,), (2,) + (3,) * (m - 1)] + [
+        (2,) + (3,) * j + (4,) + (3,) * (m - 3 - j) + (2,) for j in range(m - 2)
+    ]
 
 
 def outerplanar_cover(m: int, n: int) -> list:
-    """Cover E(K_{m,n}) by ceil(mn / (2m+n-2)) outerplanar edge sets.
+    """Cover E(K_{m,n}) by ceil(mn / (2m+n-2)) outerplanar parts, each drawn.
 
-    Requires 3 <= m <= n <= 2m-2. For n >= m+2 the rotating floor-degree
-    chains provably cover; for n in {m, m+1} a small deterministic parameter
-    search finds rotated chains whose complement is itself outerplanar. Every
-    part is recheck-verified; DecompositionNotFound reports a miss.
+    Requires 3 <= m <= n <= 2m-2. Returns (part, drawing) pairs, where the
+    drawing is ``outerplanar_extension`` of the part in one K_{m,n}: drawing
+    a part is its outerplanarity test, so no part is embedded twice. For
+    n >= m+2 the rotating floor-degree chains provably cover; for n in
+    {m, m+1} a small deterministic parameter search finds rotated chains
+    whose complement is itself outerplanar. A complement with more than
+    2m + n - 2 edges, the outerplanar maximum of K_{m,n}, is skipped
+    undrawn. DecompositionNotFound reports a miss.
     """
     if not (3 <= m <= n <= 2 * m - 2):
         raise ValueError("need 3 <= m <= n <= 2m-2")
+    host = complete_bipartite(m, n)
     total = 2 * m + n - 2
     ell = ceil(m * n / total)
-    full = set(complete_bipartite(m, n).edges)
     if n >= m + 2:
         base = _floor_diffs(total, m)
-        parts = []
+        pairs = []
         s = 0
         for t in range(ell):
             layout = tuple(base[(i + t) % m] for i in range(m))
             part = _chain_edges(m, n, layout, 0, s)
-            if part is None or not _outerplanar(m, n, part):
+            drawing = None if part is None else _draw(host, part)
+            if drawing is None:
                 raise DecompositionNotFound(
                     f"decomposition not found for K_{{{m},{n}}}: chain {t} failed"
                 )
-            parts.append(part)
+            pairs.append((part, drawing))
             s = (s + base[t % m]) % n
-        union = set()
-        for p in parts:
-            union |= p
-        if union != full:
+        if set().union(*(part for part, _ in pairs)) != host.edges:
             raise DecompositionNotFound(
                 f"decomposition not found for K_{{{m},{n}}}: coverage miss"
             )
-        return parts
-    # n in {m, m+1}: rotated chains plus an outerplanar complement
-    if n == m:
-        layouts = [(2,) + (3,) * (m - 2) + (2,)]
-    else:
-        layouts = [(3,) * (m - 1) + (2,), (2,) + (3,) * (m - 1)]
-        layouts += [
-            (2,) + (3,) * j + (4,) + (3,) * (m - 3 - j) + (2,) for j in range(m - 2)
-        ]
-    # each chain relabels the layout's base chain (blacks by beta*t, whites
-    # by sigma*t), so one outerplanarity test per layout answers for all
-    for layout in layouts:
-        if not _outerplanar(m, n, _chain_edges(m, n, layout, 0, 0)):
+        return pairs
+    # n in {m, m+1}: rotated chains plus an outerplanar complement. Each
+    # chain relabels the layout's base chain (blacks by beta*t, whites by
+    # sigma*t), so drawing the base chain answers for all of them.
+    for layout in _search_layouts(m, n):
+        first = _chain_edges(m, n, layout, 0, 0)
+        first_drawing = _draw(host, first)
+        if first_drawing is None:
             continue
         for beta in range(m):
             for sigma in range(n):
-                parts = [
+                chains = [
                     _chain_edges(m, n, layout, (beta * t) % m, (sigma * t) % n)
-                    for t in range(ell - 1)
+                    for t in range(1, ell - 1)
                 ]
-                union: set = set()
-                for p in parts:
-                    union |= p
-                rest = frozenset(full - union)
-                if rest and not _outerplanar(m, n, rest):
+                rest = host.edges.difference(first, *chains)
+                if not rest or len(rest) > total:
                     continue
-                if rest:
-                    parts.append(rest)
-                if len(parts) == ell:
-                    return parts
+                rest_drawing = _draw(host, rest)
+                if rest_drawing is None:
+                    continue
+                return (
+                    [(first, first_drawing)]
+                    + [(c, outerplanar_extension(host, c)) for c in chains]
+                    + [(rest, rest_drawing)]
+                )
     raise DecompositionNotFound(f"decomposition not found for K_{{{m},{n}}}")
 
 
@@ -452,13 +464,14 @@ def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
         raise ValueError("both part sizes must be at least 1")
     if m > n:
         m, n = n, m
+    if 3 <= m and n <= 2 * m - 2:
+        drawings = tuple(d for _, d in outerplanar_cover(m, n))
+        return UncrossedCertificate(drawings[0].host, drawings)
     host = complete_bipartite(m, n)
     if m <= 2:
         ok, d = is_planar_graph(host)
         assert ok and d is not None
         return UncrossedCertificate(host, (d,))
-    if n <= 2 * m - 2:
-        return collection_from_outerplanar_decomposition(host, outerplanar_cover(m, n))
     cover = double_cycle_cover_for(m, n)
     drawings = tuple(embed_double_cycle(c, host) for c in cover.cycles)
     return UncrossedCertificate(host, drawings)

@@ -63,11 +63,14 @@ class AdmissibleFamily:
 
     ``members`` is ordered by decreasing size, then lexicographically; every
     admissible set of the host is a subset of some member (admissibility is
-    closed under deleting edges while connectivity allows).
+    closed under deleting edges while connectivity allows). ``firsts`` holds
+    the indices of the members that the kernel searched, the first of each
+    twin-swap orbit; None stands for every member.
     """
 
     host: Graph
     members: tuple  # tuple[(frozenset edges, PlaneDrawing), ...]
+    firsts: tuple | None = None
 
     def sizes(self) -> tuple:
         return tuple(len(e) for e, _ in self.members)
@@ -309,6 +312,7 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     lower = n - 1
     swaps = _twin_swaps(host)
     found: list = []  # (frozenset, witness)
+    firsts: list = []  # indices in found of the kernel's members
     # relabeled witnesses of members not reached yet, by mask
     images: dict = {}
     # what is settled about the masks of one level: True for members and
@@ -345,6 +349,7 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
             witness, planar = _admissible_witness(host, subset)
             orbit = _orbit(mask, swaps, n)
             if witness is not None:
+                firsts.append(len(found))
                 found.append((subset, witness))
                 known[mask] = True
                 del orbit[mask]
@@ -353,7 +358,7 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
             else:
                 known.update(dict.fromkeys(orbit, None if planar else False))
         above = known
-    return AdmissibleFamily(host, tuple(found))
+    return AdmissibleFamily(host, tuple(found), tuple(firsts))
 
 
 def exact_h(host: Graph, *, family: AdmissibleFamily | None = None, cap: int = 12) -> int:
@@ -389,7 +394,10 @@ def exact_unc(
 
     Iterative deepening over covers by maximal admissible sets; the first
     cover found at the minimal size is the lexicographically least one in
-    member order, so results are stable.
+    member order, so results are stable. Only the family's ``firsts`` are
+    tried as the first drawing: a twin swap carries any cover onto one that
+    holds the first member of its first drawing's orbit, so the least cover
+    starts with such a member.
     """
     if family is None:
         family = enumerate_admissible(host, cap=cap)
@@ -425,9 +433,11 @@ def exact_unc(
             chosen.pop()
         return None
 
+    firsts = range(len(masks)) if family.firsts is None else family.firsts
     for limit in range(max(1, ceil(host.m / h)), len(masks) + 1):
-        got = search(limit, 0, 0, [])
-        if got is not None:
-            cert = UncrossedCertificate(host, tuple(witnesses[i] for i in got))
-            return limit, cert
+        for i in firsts:
+            got = search(limit, i + 1, masks[i], [i])
+            if got is not None:
+                cert = UncrossedCertificate(host, tuple(witnesses[j] for j in got))
+                return limit, cert
     raise AssertionError("maximal members always cover the host")

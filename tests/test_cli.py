@@ -163,6 +163,14 @@ def test_construct_ladder_is_admissible_but_covers_half(tmp_path):
     assert not data["ok"] and len(data["uncovered"]) == 24 - 12
 
 
+@pytest.mark.parametrize("what,m,n", [("cover", "9", "24"), ("cover", "5", "9"),
+                                      ("ladder", "4", "6"), ("collection", "5", "7")])
+def test_construct_accepts_either_order(what, m, n):
+    ordered = run_cap("construct", what, m, n)
+    assert ordered[0] == 0 and ordered[1]
+    assert run_cap("construct", what, n, m) == ordered
+
+
 def test_construct_wheel_svg(tmp_path):
     svg_path = str(tmp_path / "w.svg")
     code, out, err = run_cap("construct", "wheel", "9", "--format", "svg", "-o", svg_path)

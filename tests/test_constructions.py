@@ -25,6 +25,7 @@ from uncrossed import (
     ladder_with_leaves,
     outerplanar_cover,
     parse_cover,
+    serialize_certificate,
     serialize_cover,
     unc_complete_bipartite,
     verify_certificate,
@@ -149,16 +150,22 @@ def test_outerplanar_cover_small():
     from uncrossed.graph import Graph
 
     for m, n in [(3, 3), (3, 4), (4, 5), (5, 5), (5, 8), (6, 7), (8, 8)]:
-        parts = outerplanar_cover(m, n)
-        assert len(parts) == unc_complete_bipartite(m, n), (m, n)
+        pairs = outerplanar_cover(m, n)
+        assert len(pairs) == unc_complete_bipartite(m, n), (m, n)
+        host = pairs[0][1].host
+        assert host == complete_bipartite(m, n)
         alle = set()
-        for part in parts:
+        for part, drawing in pairs:
+            # one host per cover, and each part drawn admissibly as itself
+            assert drawing.host is host
+            assert drawing.drawn >= part
+            assert verify_drawing(host, drawing).ok, (m, n)
             ok, _ = is_outerplanar(Graph(m + n, part))
             assert ok, (m, n, part)
             if len({v for e in part for v in e}) <= 8:
                 assert _part_outerplanar_bruteforce(part), (m, n)
             alle.update(part)
-        assert alle == set(complete_bipartite(m, n).sorted_edges), (m, n)
+        assert alle == set(host.sorted_edges), (m, n)
 
 
 def test_outerplanar_cover_parts_pinned():
@@ -167,11 +174,50 @@ def test_outerplanar_cover_parts_pinned():
     h = hashlib.sha256()
     for m in range(6, 17):
         for n in (m, m + 1):
-            for i, part in enumerate(outerplanar_cover(m, n)):
+            for i, (part, _) in enumerate(outerplanar_cover(m, n)):
                 h.update(f"{m} {n} {i}: {sorted(part)}\n".encode())
     assert h.hexdigest() == (
         "d97529f61ddf4735b4c683af45c696a00a3a744ff555958276a304040f9b7375"
     )
+
+
+def test_outerplanar_collections_pinned():
+    # sha256 over the certificates of the whole outerplanar regime
+    # 3 <= m <= n <= 2m - 2: the parts are drawn once, during the search,
+    # and the collections must stay byte-identical
+    h = hashlib.sha256()
+    for m in range(3, 17):
+        for n in range(m, 2 * m - 1):
+            h.update(serialize_certificate(bipartite_uncrossed_collection(m, n)).encode())
+    assert h.hexdigest() == (
+        "2109c9f6bf64b43af734be944a4168e224b5a9537e7d96c3ebfb21946777de22"
+    )
+
+
+def test_search_skips_only_rests_that_are_not_outerplanar():
+    # the search skips a rest above 2m + n - 2 edges undrawn; every such
+    # rest of every (layout, beta, sigma) up to m = 8 is indeed rejected
+    from uncrossed import is_outerplanar
+    from uncrossed.constructions import _chain_edges, _search_layouts
+    from uncrossed.graph import Graph
+
+    skipped = 0
+    for m in range(3, 9):
+        for n in (m, m + 1):
+            total = 2 * m + n - 2
+            ell = -(-m * n // total)
+            full = complete_bipartite(m, n).edges
+            for layout in _search_layouts(m, n):
+                for beta in range(m):
+                    for sigma in range(n):
+                        rest = full.difference(*(
+                            _chain_edges(m, n, layout, (beta * t) % m, (sigma * t) % n)
+                            for t in range(ell - 1)
+                        ))
+                        if len(rest) > total:
+                            skipped += 1
+                            assert not is_outerplanar(Graph(m + n, rest))[0], (m, n)
+    assert skipped > 0
 
 
 def _part_outerplanar_bruteforce(part):

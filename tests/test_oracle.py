@@ -8,6 +8,7 @@ carry frozen values.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -29,6 +30,7 @@ from uncrossed import (
     h_complete,
     h_complete_bipartite,
     max_uncrossed_subgraph,
+    serialize_certificate,
     unc_complete,
     unc_complete_bipartite,
     verify_certificate,
@@ -415,6 +417,13 @@ def test_sweep_matches_unpruned_reference():
             assert verify_drawing(host, witness).ok
 
 
+# sha256 of the serialized exact_unc certificate, by host edge count
+CAP_16_CERT_PINS = {
+    15: "687dbac798c64d2ea371e2161d0b67a6e041e4511b78c7fc3e44b8d9c4d4d934",  # K_6
+    16: "0cd25899d58edcb9a3b85a58babae2fd2940649e2d05e57f8d716fa768f5b3c4",  # K_{4,4}
+}
+
+
 @pytest.mark.parametrize("host,h,unc", [
     (complete_graph(6), h_complete(6), unc_complete(6)),
     (complete_bipartite(4, 4), h_complete_bipartite(4, 4), unc_complete_bipartite(4, 4)),
@@ -425,6 +434,22 @@ def test_exact_values_at_cap_16(host, h, unc):
     u, cert = exact_unc(host, family=fam)
     assert u == unc == 2
     assert verify_certificate(cert).ok
+    # the cover search starts only from the kernel's members, and still
+    # finds the least cover over all members
+    digest = hashlib.sha256(serialize_certificate(cert).encode()).hexdigest()
+    assert digest == CAP_16_CERT_PINS[host.m]
+
+
+def test_cover_search_from_orbit_firsts_finds_the_least_cover():
+    hosts = [complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4),
+             complete_bipartite(3, 5)]
+    for host in hosts:
+        fam = enumerate_admissible(host, cap=host.m)
+        assert fam.firsts and len(fam.firsts) < len(fam.members)
+        everyone = dataclasses.replace(fam, firsts=None)
+        (u, cert), (u_all, cert_all) = exact_unc(host, family=fam), exact_unc(host, family=everyone)
+        assert u == u_all
+        assert [d.rotation for d in cert.drawings] == [d.rotation for d in cert_all.drawings]
 
 
 def test_sweep_starts_below_the_planar_edge_bound(monkeypatch):
