@@ -1,11 +1,17 @@
 """Constructive drawings and covers matching the closed-form collection sizes.
 
-Three families do the real work:
+Four families do the real work:
 
 * wheels inside complete graphs (one hub, all spokes and the rim drawn),
 * generalized ladders with leaves inside complete bipartite graphs,
+* outerplanar chains for K_{m,n} with n <= 2m-2: open ladders in which each
+  black joins a block of whites and consecutive blocks share two,
 * double cycles: a cyclic chain of 4-cycles through all the black vertices,
   with leftover whites hung off the blacks as leaves.
+
+The chains and the block double cycles follow one white-block rule
+(``_rotating_layouts``, ``_white_blocks``); they differ only in the total that
+the blocks share out, 2m + n - 2 for chains and 2m + n for cycles.
 
 A double cycle embeds with every black on both of two big faces (inside and
 outside the chain), so every white sees every black across one of them; that
@@ -157,24 +163,18 @@ class DoubleCycle:
 class DoubleCycleCover:
     """A list of double cycles whose edge sets cover all of K_{m,n}.
 
-    ``start_indices`` holds the defining per-cycle parameter (white start
-    position for the block scheme, black shift for the minus-one scheme) and
-    ``degree_sequences`` the per-position black degrees of each cycle.
+    Each cycle carries its own parameters, which ``serialize_cover`` reads
+    off it: a block cycle's white start and black degrees, a minus-one
+    cycle's black shift.
     """
 
     m: int
     n: int
     kind: str  # "block" or "minus-one"
     cycles: tuple  # tuple[DoubleCycle, ...]
-    start_indices: tuple
-    degree_sequences: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "cycles", tuple(self.cycles))
-        object.__setattr__(self, "start_indices", tuple(self.start_indices))
-        object.__setattr__(
-            self, "degree_sequences", tuple(tuple(d) for d in self.degree_sequences)
-        )
         if self.kind not in ("block", "minus-one"):
             raise ValueError(f"unknown cover kind {self.kind!r}")
 
@@ -192,24 +192,38 @@ class DoubleCycleCover:
             raise ValueError(f"cover misses {len(missing)} edges, e.g. {sorted(missing)[:3]}")
 
 
-def _floor_diffs(total: int, parts: int) -> list:
-    """Degrees d[i] = floor((i+1) total/parts) - floor(i total/parts)."""
-    return [(i + 1) * total // parts - i * total // parts for i in range(parts)]
+def _rotating_layouts(m: int, n: int, total: int) -> list:
+    """(layout, white start) of each of the ceil(mn / total) drawings.
+
+    Drawing t gives position p floor((t+p+1) total/m) - floor((t+p) total/m)
+    whites, starting at white floor(t total/m) mod n: the block sizes rotate
+    by one per drawing, and the start moves on by the previous first size.
+    """
+    return [
+        (tuple((j + 1) * total // m - j * total // m for j in range(t, t + m)),
+         t * total // m % n)
+        for t in range(ceil(m * n / total))
+    ]
+
+
+def _white_blocks(m: int, n: int, layout, start: int) -> list:
+    """White block of each position: layout[p] whites in cyclic order from
+    ``start``, each block beginning on the last two whites of the one before."""
+    blocks = []
+    pos = start
+    for d in layout:
+        blocks.append([m + (pos + j) % n for j in range(d)])
+        pos += d - 2
+    return blocks
 
 
 def _block_cycle(m: int, n: int, degrees, start: int) -> DoubleCycle:
-    """One cycle of the block scheme from explicit degrees and white start."""
-    k = m
-    starts = []
-    pos = start
-    for d in degrees:
-        starts.append(pos % n)
-        pos += d - 2
-    blocks = [
-        [m + (starts[i] + j) % n for j in range(degrees[i])] for i in range(k)
-    ]
-    quads = tuple(tuple(blocks[(p + 1) % k][:2]) for p in range(k))
-    leaves = tuple(tuple(blocks[p][2 : degrees[p] - 2]) for p in range(k))
+    """One cycle of the block scheme: black p's block is its two whites on
+    each cycle edge and its leaves, so the last edge carries block 0's first
+    two whites."""
+    blocks = _white_blocks(m, n, degrees, start)
+    quads = tuple(tuple(blocks[(p + 1) % m][:2]) for p in range(m))
+    leaves = tuple(tuple(block[2:-2]) for block in blocks)
     return DoubleCycle(m, n, tuple(range(m)), quads, leaves)
 
 
@@ -222,20 +236,8 @@ def double_cycle_cover(m: int, n: int) -> DoubleCycleCover:
     """
     if m < 3 or n < 2 * m:
         raise ValueError("block cover needs 3 <= m and n >= 2m")
-    total = 2 * m + n
-    ell = ceil(m * n / total)
-    base = _floor_diffs(total, m)
-    cycles = []
-    starts = []
-    seqs = []
-    s = 0
-    for t in range(ell):
-        degrees = tuple(base[(i + t) % m] for i in range(m))
-        cycles.append(_block_cycle(m, n, degrees, s))
-        starts.append(s)
-        seqs.append(degrees)
-        s = (s + base[t % m]) % n
-    return DoubleCycleCover(m, n, "block", tuple(cycles), tuple(starts), tuple(seqs))
+    cycles = [_block_cycle(m, n, layout, s) for layout, s in _rotating_layouts(m, n, 2 * m + n)]
+    return DoubleCycleCover(m, n, "block", tuple(cycles))
 
 
 def _minus_one_cycle(m: int, shift: int) -> DoubleCycle:
@@ -257,17 +259,8 @@ def double_cycle_cover_minus_one(m: int) -> DoubleCycleCover:
     """
     if m < 3:
         raise ValueError("minus-one cover needs m >= 3")
-    ell = ceil(m / 2)
-    degrees = tuple(3 if p in (0, m - 1) else 4 for p in range(m))
-    cycles = []
-    shifts = []
-    for t in range(ell):
-        shift = (2 * t) % m
-        cycles.append(_minus_one_cycle(m, shift))
-        shifts.append(shift)
-    return DoubleCycleCover(
-        m, 2 * m - 1, "minus-one", tuple(cycles), tuple(shifts), tuple(degrees for _ in range(ell))
-    )
+    cycles = [_minus_one_cycle(m, (2 * t) % m) for t in range(ceil(m / 2))]
+    return DoubleCycleCover(m, 2 * m - 1, "minus-one", tuple(cycles))
 
 
 def double_cycle_cover_for(m: int, n: int) -> DoubleCycleCover:
@@ -336,19 +329,14 @@ def embed_double_cycle(c: DoubleCycle, host: Graph | None = None) -> PlaneDrawin
 
 
 def _chain_edges(m: int, n: int, layout, rot_off: int, start: int):
-    """Open generalized-ladder chain: black at position p is (p + rot_off) % m,
-    its white block has layout[p] whites, consecutive blocks share two."""
-    edges = set()
-    pos = start
-    for p, d in enumerate(layout):
-        b = (p + rot_off) % m
-        for j in range(d):
-            e = normalize_edge(b, m + (pos + j) % n)
-            if e in edges:
-                return None
-            edges.add(e)
-        pos += d - 2
-    return frozenset(edges)
+    """Open generalized-ladder chain: black at position p is (p + rot_off) % m
+    and joins its white block; None when a block wraps onto itself."""
+    edges = frozenset(
+        ((p + rot_off) % m, w)
+        for p, block in enumerate(_white_blocks(m, n, layout, start))
+        for w in block
+    )
+    return edges if len(edges) == sum(layout) else None
 
 
 def _draw(host: Graph, part) -> PlaneDrawing | None:
@@ -384,13 +372,9 @@ def outerplanar_cover(m: int, n: int) -> list:
         raise ValueError("need 3 <= m <= n <= 2m-2")
     host = complete_bipartite(m, n)
     total = 2 * m + n - 2
-    ell = ceil(m * n / total)
     if n >= m + 2:
-        base = _floor_diffs(total, m)
         pairs = []
-        s = 0
-        for t in range(ell):
-            layout = tuple(base[(i + t) % m] for i in range(m))
+        for t, (layout, s) in enumerate(_rotating_layouts(m, n, total)):
             part = _chain_edges(m, n, layout, 0, s)
             drawing = None if part is None else _draw(host, part)
             if drawing is None:
@@ -398,7 +382,6 @@ def outerplanar_cover(m: int, n: int) -> list:
                     f"decomposition not found for K_{{{m},{n}}}: chain {t} failed"
                 )
             pairs.append((part, drawing))
-            s = (s + base[t % m]) % n
         if set().union(*(part for part, _ in pairs)) != host.edges:
             raise DecompositionNotFound(
                 f"decomposition not found for K_{{{m},{n}}}: coverage miss"
@@ -407,6 +390,7 @@ def outerplanar_cover(m: int, n: int) -> list:
     # n in {m, m+1}: rotated chains plus an outerplanar complement. Each
     # chain relabels the layout's base chain (blacks by beta*t, whites by
     # sigma*t), so drawing the base chain answers for all of them.
+    ell = ceil(m * n / total)
     for layout in _search_layouts(m, n):
         first = _chain_edges(m, n, layout, 0, 0)
         first_drawing = _draw(host, first)
@@ -483,22 +467,24 @@ def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
 # kind block|minus-one
 # cycles <count>
 # cycle 1
-# start <s>          (block scheme)
+# start <s>          (block scheme: 0 <= s < n, the first white of block 0)
 # degrees <d0> <d1> ...
 # cycle 2
 # ...
-# For the minus-one scheme each cycle instead carries: shift <s>
+# For the minus-one scheme each cycle instead carries: shift <s>, with
+# 0 <= s < m the black at position 0. Out-of-range values are refused, so a
+# parsed cover serializes back to the same text.
 
 
 def serialize_cover(c: DoubleCycleCover) -> str:
     out = [f"cover {c.m} {c.n}", f"kind {c.kind}", f"cycles {len(c.cycles)}"]
-    for i in range(len(c.cycles)):
-        out.append(f"cycle {i + 1}")
+    for i, cyc in enumerate(c.cycles, 1):
+        out.append(f"cycle {i}")
         if c.kind == "block":
-            out.append(f"start {c.start_indices[i]}")
-            out.append("degrees " + " ".join(str(d) for d in c.degree_sequences[i]))
+            out.append(f"start {cyc.quad_whites[-1][0] - c.m}")
+            out.append("degrees " + " ".join(str(cyc.degree_at(p)) for p in range(cyc.k)))
         else:
-            out.append(f"shift {c.start_indices[i]}")
+            out.append(f"shift {cyc.black_cycle[0]}")
     return "\n".join(out) + "\n"
 
 
@@ -514,30 +500,31 @@ def parse_cover(text: str) -> DoubleCycleCover:
     if kind not in ("block", "minus-one"):
         raise r.error(f"unknown cover kind {kind!r}")
     (count,) = r.ints("'cycles <count>'", "cycles", 1)
+    if count < 0:
+        raise r.error("negative number of cycles")
     cycles = []
-    starts = []
-    seqs = []
     for i in range(count):
         if r.ints(f"'cycle {i + 1}'", "cycle", 1) != [i + 1]:
             raise r.error(f"expected 'cycle {i + 1}'")
         if kind == "block":
             (s,) = r.ints("'start <s>'", "start", 1)
-            degrees = tuple(r.ints("'degrees <d...>'", "degrees"))
+            if not 0 <= s < n:
+                raise r.error(f"start {s} is outside 0..{n - 1}")
+            degrees = r.ints("'degrees <d...>'", "degrees")
             if len(degrees) != m or sum(degrees) != 2 * m + n:
                 raise r.error("degree sequence does not fit the host")
         else:
             (s,) = r.ints("'shift <s>'", "shift", 1)
             if n != 2 * m - 1:
                 raise r.error("minus-one cover requires n = 2m-1")
-            degrees = tuple(3 if p in (0, m - 1) else 4 for p in range(m))
+            if not 0 <= s < m:
+                raise r.error(f"shift {s} is outside 0..{m - 1}")
         try:
             cycles.append(
                 _block_cycle(m, n, degrees, s) if kind == "block" else _minus_one_cycle(m, s)
             )
         except ValueError as exc:
             raise r.error(str(exc)) from None
-        starts.append(s)
-        seqs.append(degrees)
     if r.peek() is not None:
         raise r.error(f"unexpected trailing line {r.peek()!r}", r.pos)
-    return DoubleCycleCover(m, n, kind, tuple(cycles), tuple(starts), tuple(seqs))
+    return DoubleCycleCover(m, n, kind, tuple(cycles))

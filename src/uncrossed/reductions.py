@@ -77,7 +77,9 @@ def reduce_mos_to_ecr(g: Graph, k: int) -> ReductionInstance:
 def reduce_ot_to_unc(g: Graph, k: int) -> ReductionInstance:
     """Instance asking: does the target admit an uncrossed collection of size
     k?  Yes iff E(g) can be covered by k outerplanar subgraphs. Requires
-    k >= 1."""
+    k >= 1; a witness for the yes side (``unc_forward_witness``) needs k >= 2,
+    since its drawings split the path edges between the first part and the
+    rest."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = g.n
@@ -159,8 +161,10 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
         raise ValueError("instance is not of the unc kind")
     g = inst.source
     part_sets = [frozenset(normalize_edge(u, v) for u, v in p) for p in parts]
-    if not 2 <= len(part_sets) <= inst.budget:
-        raise ValueError(f"need between 2 and {inst.budget} parts")
+    if len(part_sets) < 2:
+        raise ValueError("the unc witness needs at least 2 parts")
+    if len(part_sets) > inst.budget:
+        raise ValueError(f"k = {inst.k} allows at most {inst.budget} parts, got {len(part_sets)}")
     union: set = set()
     builders = []
     for p in part_sets:

@@ -276,6 +276,22 @@ def test_reduce_unc_with_witness_emits_certificate(tmp_path):
     assert run_cap("verify", "--cert", cert_path)[0] == 0
 
 
+@pytest.mark.parametrize("k,parts_text,message", [
+    ("1", "part 1\n0 1\n1 2\n", "the unc witness needs at least 2 parts"),
+    ("2", "part 1\n0 1\npart 2\n1 2\npart 3\n0 1\n",
+     "k = 2 allows at most 2 parts, got 3"),
+])
+def test_reduce_unc_witness_part_count_messages(tmp_path, k, parts_text, message):
+    g = tmp_path / "p3.txt"
+    g.write_text("3 2\n0 1\n1 2\n")
+    parts = tmp_path / "p3.parts"
+    parts.write_text(parts_text)
+    code, out, err = run_cap("reduce", "unc", "--graph", str(g), "-k", k, "--witness", str(parts))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+
+
 def test_reduce_without_witness_prints_instance(tmp_path):
     g = tmp_path / "tri.txt"
     g.write_text(TRIANGLE_TEXT)

@@ -7,6 +7,7 @@ validation, and a sampled portion of each range.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -14,6 +15,8 @@ import helpers as H
 from uncrossed import (
     DecompositionNotFound,
     DoubleCycle,
+    DoubleCycleCover,
+    FormatError,
     bipartite_uncrossed_collection,
     complete_bipartite,
     double_cycle_cover,
@@ -32,7 +35,11 @@ from uncrossed import (
     verify_drawing,
     wheel_drawing,
 )
-from uncrossed.constructions import collection_from_outerplanar_decomposition
+from uncrossed.constructions import (
+    _block_cycle,
+    collection_from_outerplanar_decomposition,
+    double_cycle_cover_for,
+)
 
 
 def test_wheel_drawing_shape():
@@ -271,3 +278,70 @@ def test_cover_serialization_roundtrip():
         assert back.m == c.m and back.n == c.n
         assert [cy.black_cycle for cy in back.cycles] == [cy.black_cycle for cy in c.cycles]
         assert back.union_edges() == c.union_edges()
+        assert serialize_cover(back) == text
+
+
+def test_cover_texts_pinned_and_round_trip():
+    # sha256 over the cover files of 3 <= m <= 12, 2m - 1 <= n <= 3m + 4:
+    # serialize_cover reads each cycle's start, degrees or shift off the
+    # cycle itself, the files must stay byte-identical, and parsing one
+    # gives back a cover that writes the same bytes
+    h = hashlib.sha256()
+    for m in range(3, 13):
+        for n in range(2 * m - 1, 3 * m + 5):
+            text = serialize_cover(double_cycle_cover_for(m, n))
+            assert serialize_cover(parse_cover(text)) == text, (m, n)
+            h.update(text.encode())
+    assert h.hexdigest() == (
+        "c890b311347dd7261f1f780f10d58b5f6f9106d7fe6fe1910e7494b52715443a"
+    )
+
+
+def test_block_cycles_read_back_their_start_and_degrees():
+    # every cycle that _block_cycle accepts (m <= 4, degrees <= 6, every
+    # start) writes back exactly the start and degrees it was built from
+    accepted = 0
+    for m in (3, 4):
+        for degrees in itertools.product(range(7), repeat=m):
+            n = sum(degrees) - 2 * m
+            for start in range(max(n, 0)):
+                try:
+                    cyc = _block_cycle(m, n, degrees, start)
+                except ValueError:
+                    continue
+                accepted += 1
+                assert serialize_cover(DoubleCycleCover(m, n, "block", (cyc,))) == (
+                    f"cover {m} {n}\nkind block\ncycles 1\ncycle 1\nstart {start}\n"
+                    f"degrees {' '.join(map(str, degrees))}\n"
+                )
+    assert accepted > 0
+
+
+def test_double_cycle_collections_pinned():
+    # sha256 over the certificates outside the outerplanar regime for
+    # 1 <= m <= 12, m <= n <= 3m + 2: one planar drawing for m <= 2, double
+    # cycles for n >= 2m - 1
+    h = hashlib.sha256()
+    for m in range(1, 13):
+        for n in range(m if m <= 2 else 2 * m - 1, 3 * m + 3):
+            h.update(serialize_certificate(bipartite_uncrossed_collection(m, n)).encode())
+    assert h.hexdigest() == (
+        "9e8bc0002bdb57058f2ad9f63145d45a985c520c034579de83427a724ba12041"
+    )
+
+
+@pytest.mark.parametrize("text,message", [
+    ("cover 3 6\nkind block\ncycles 1\ncycle 1\nstart 6\ndegrees 4 4 4\n",
+     "line 5: start 6 is outside 0..5"),
+    ("cover 3 6\nkind block\ncycles 1\ncycle 1\nstart -1\ndegrees 4 4 4\n",
+     "line 5: start -1 is outside 0..5"),
+    ("cover 3 5\nkind minus-one\ncycles 1\ncycle 1\nshift 7\n",
+     "line 5: shift 7 is outside 0..2"),
+    ("cover 3 5\nkind minus-one\ncycles 1\ncycle 1\nshift -1\n",
+     "line 5: shift -1 is outside 0..2"),
+    ("cover 3 5\nkind minus-one\ncycles -2\n", "line 3: negative number of cycles"),
+], ids=["start-n", "start-negative", "shift-past-m", "shift-negative", "negative-count"])
+def test_parse_cover_refuses_values_it_could_not_write_back(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_cover(text)
+    assert str(exc.value) == message

@@ -190,9 +190,11 @@ def test_cover_roundtrip(m, data):
     else:
         n = data.draw(st.integers(2 * m, 36), label="n")
         cover = double_cycle_cover(m, n)
-    back = parse_cover(serialize_cover(cover))
+    text = serialize_cover(cover)
+    back = parse_cover(text)
     assert back.kind == cover.kind
     assert back.union_edges() == cover.union_edges()
+    assert serialize_cover(back) == text
     assert back.union_edges() == complete_bipartite(back.m, back.n).edges
     back.validate()
 
