@@ -18,7 +18,18 @@ from dataclasses import dataclass
 from .embedding import PlaneDrawing
 from .errors import FormatError, MalformedRotationError
 from .formulas import BoundReport, bound_report
-from .graph import Graph, LineReader, edges_connected, format_edge_list, read_graph
+from .graph import (
+    EDGE_LINE,
+    Graph,
+    LineReader,
+    edges_connected,
+    format_edge_list,
+    join_blocks,
+    read_graph,
+)
+
+# the text of one edge in a report line, from the pair (u, v)
+_REPORT_PAIR = "(%d, %d)".__mod__
 
 
 @dataclass(frozen=True)
@@ -69,7 +80,7 @@ class AdmissibilityReport:
             )
             if self.euler_ok:
                 if self.violating_edges:
-                    pairs = ", ".join(f"({u}, {v})" for u, v in self.violating_edges)
+                    pairs = join_blocks(self.violating_edges, _REPORT_PAIR, ", ")
                     out.append(f"non-cofacial undrawn edges: {pairs}")
                 else:
                     out.append("all undrawn edges cofacial: yes")
@@ -125,7 +136,7 @@ class CertificateReport:
             out.append(f"drawing {i + 1}: {status}")
             out.extend("  " + ln for ln in rep.lines())
         if self.uncovered:
-            pairs = ", ".join(f"({u}, {v})" for u, v in self.uncovered)
+            pairs = join_blocks(self.uncovered, _REPORT_PAIR, ", ")
             out.append(f"uncovered edges: {pairs}")
         else:
             out.append("coverage: every edge drawn somewhere")
@@ -171,7 +182,11 @@ def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:
 #
 # Parsing goes through graph.LineReader: blank lines and '#' comments are
 # skipped, and each block of m (or k) edge lines must list distinct edges,
-# '1 0' counting as '0 1'. The host needs at least one vertex. The outer
+# '1 0' counting as '0 1'. The reader holds the lines of one chunk of the
+# text at a time, a chunk ending right after the first newline at or beyond
+# graph.CHUNK_CHARS characters from its start, and the writer joins edge
+# lines graph.JOIN_BLOCK at a time, so that neither keeps one string per
+# edge of a large host. The host needs at least one vertex. The outer
 # dart must be a drawn dart; the verifier reports one that is not as a
 # malformed drawing. Verification reads the face count and cofaciality from
 # PlaneDrawing's dart tracer: one int face mask per vertex.
@@ -180,19 +195,18 @@ def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:
 def serialize_certificate(c: UncrossedCertificate) -> str:
     g = c.host
     # the graph section is the plain edge-list format
-    out = ["graph", format_edge_list(g)[:-1]]
+    out = ["graph\n", format_edge_list(g)]
     for i, d in enumerate(c.drawings):
-        out.append(f"drawing {i + 1}")
         drawn = sorted(d.drawn)
-        out.append(f"edges {len(drawn)}")
-        out.extend(f"{u} {v}" for u, v in drawn)
-        out.append("rotation")
+        out.append(f"drawing {i + 1}\nedges {len(drawn)}\n")
+        out.append(join_blocks(drawn, EDGE_LINE))
+        out.append("rotation\n")
         for v in range(g.n):
             row = " ".join(map(str, d.rotation[v]))
-            out.append(f"{v}:" + (" " + row if row else ""))
+            out.append(f"{v}: {row}\n" if row else f"{v}:\n")
         if d.outer_dart is not None:
-            out.append(f"outer: {d.outer_dart[0]}->{d.outer_dart[1]}")
-    return "\n".join(out) + "\n"
+            out.append(f"outer: {d.outer_dart[0]}->{d.outer_dart[1]}\n")
+    return "".join(out)
 
 
 def serialize_drawing(d: PlaneDrawing) -> str:

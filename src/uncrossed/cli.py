@@ -51,8 +51,11 @@ def _write_out(text: str, path: str | None):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -75,14 +78,12 @@ def _parse_parts_file(text: str) -> list:
     parts: list = []
     if r.peek() is not None and not r.peek().startswith("part"):
         raise r.error(f"edge line {r.peek()!r} before any 'part' header", r.pos)
-    while r.peek() is not None:
+    while (header := r.peek()) is not None:
         what = f"'part {len(parts) + 1}'"
         if r.ints(what, "part", 1) != [len(parts) + 1]:
-            raise r.error(f"expected {what}, got {r.lines[r.pos - 1]!r}")
-        k = r.pos
-        while k < len(r.lines) and not r.lines[k].startswith("part"):
-            k += 1
-        parts.append(r.pairs(k - r.pos, "edge line")[1])
+            raise r.error(f"expected {what}, got {header!r}")
+        # the edge lines run up to the next part header
+        parts.append(r.pairs(None, "edge line", stop="part")[1])
     if not parts:
         raise FormatError("parts file contains no parts")
     return parts

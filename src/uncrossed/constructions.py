@@ -28,7 +28,7 @@ from .certify import UncrossedCertificate
 from .embedding import PlaneDrawing, is_planar_graph, outerplanar_extension
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .embedding import is_outerplanar  # noqa: F401
-from .errors import DecompositionNotFound, NotOuterplanarError
+from .errors import DecompositionNotFound, FormatError, NotOuterplanarError
 from .graph import Graph, LineReader, complete_bipartite, complete_graph, normalize_edge
 
 
@@ -473,7 +473,8 @@ def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
 # ...
 # For the minus-one scheme each cycle instead carries: shift <s>, with
 # 0 <= s < m the black at position 0. Out-of-range values are refused, so a
-# parsed cover serializes back to the same text.
+# parsed cover serializes back to the same text, and so is a cover whose
+# cycles miss an edge of K_{m,n}.
 
 
 def serialize_cover(c: DoubleCycleCover) -> str:
@@ -527,4 +528,9 @@ def parse_cover(text: str) -> DoubleCycleCover:
             raise r.error(str(exc)) from None
     if r.peek() is not None:
         raise r.error(f"unexpected trailing line {r.peek()!r}", r.pos)
-    return DoubleCycleCover(m, n, kind, tuple(cycles))
+    cover = DoubleCycleCover(m, n, kind, tuple(cycles))
+    try:
+        cover.validate()
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    return cover

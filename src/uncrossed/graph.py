@@ -167,25 +167,84 @@ def edges_connected(n: int, edges: frozenset) -> bool:
     return unions == n - 1
 
 
+# a reader chunk ends right after the first '\n' at or beyond this many
+# characters from its start
+CHUNK_CHARS = 1 << 16
+# writers join this many per-edge lines into one string at a time
+JOIN_BLOCK = 4096
+# the text of one edge line, from the pair (u, v)
+EDGE_LINE = "%d %d\n".__mod__
+
+
+def _content(text: str) -> list:
+    """The stripped lines of text that are neither blank nor ``#`` comments."""
+    return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
+
+
+def _bulk_pairs(lines: list) -> list:
+    """The lines parsed in one go as normalized pairs; ValueError when one
+    of them is not two integers."""
+    # ' ; ' marks the line ends: k well-formed lines split into
+    # u v ; u v ; ... u v, and int() refuses a ';' anywhere else
+    k = len(lines)
+    tokens = " ; ".join(lines).split()
+    if len(tokens) != 3 * k - 1 or tokens[2::3].count(";") != k - 1:
+        raise ValueError("not k lines of two fields")
+    pairs = zip(map(int, tokens[0::3]), map(int, tokens[1::3]))
+    return [(u, v) if u < v else (v, u) for u, v in pairs]
+
+
 class LineReader:
     """The content lines of a text file, read front to back.
 
     Every file format of the package goes through this reader. Each line is
-    stripped once; blank lines and ``#`` comments are dropped. Physical line
-    numbers are recounted only to word an error message.
+    stripped once; blank lines and ``#`` comments are dropped. The reader
+    holds the content lines of one chunk of the text at a time: a chunk ends
+    right after the first newline (``"\\n"``) at or beyond ``CHUNK_CHARS``
+    characters from its start, and a text without one is one chunk. As a
+    chunk ends only after a newline, the chunks together split into exactly
+    the lines of ``text.splitlines()``, whatever the line ends. ``pos``
+    counts the content lines taken so far. Physical line numbers are
+    recounted from the whole text only to word an error message.
     """
 
     def __init__(self, text: str):
         self.text = text
-        self.lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
-        self.pos = 0
+        self._next = 0  # offset in text of the next chunk
+        self._lines: list = []  # content lines of the current chunk
+        self._i = 0  # index in _lines of the next line
+        self._before = 0  # content lines in the chunks before this one
+
+    @property
+    def pos(self) -> int:
+        return self._before + self._i
+
+    def _more(self) -> bool:
+        """True when a content line is left to take; once the current chunk
+        is used up, moves on to the next chunk that holds one."""
+        if self._i < len(self._lines):
+            return True
+        text = self.text
+        while self._next < len(text):
+            nl = text.find("\n", self._next + CHUNK_CHARS)
+            end = len(text) if nl < 0 else nl + 1
+            self._before += len(self._lines)
+            self._lines, self._i = _content(text[self._next:end]), 0
+            self._next = end
+            if self._lines:
+                return True
+        return False
+
+    def _left(self) -> int:
+        """Content lines not taken yet, counted to the end of the text."""
+        return len(self._lines) - self._i + len(_content(self.text[self._next:]))
 
     def error(self, message: str, index: int | None = None) -> FormatError:
         """A FormatError that names the physical line of content line
         ``index`` (by default the line taken last)."""
         if index is None:
             index = self.pos - 1
-        if 0 <= index < len(self.lines):
+        if index >= 0:
             kept = 0
             for no, raw in enumerate(self.text.splitlines(), 1):
                 ln = raw.strip()
@@ -196,13 +255,13 @@ class LineReader:
         return FormatError(message)
 
     def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
+        return self._lines[self._i] if self._more() else None
 
     def take(self) -> str:
-        if self.pos >= len(self.lines):
+        if not self._more():
             raise FormatError("unexpected end of file")
-        self.pos += 1
-        return self.lines[self.pos - 1]
+        self._i += 1
+        return self._lines[self._i - 1]
 
     def ints(self, what: str, keyword: str | None = None, count: int | None = None) -> list:
         """The next line as ``keyword`` (when given) followed by integers:
@@ -220,40 +279,45 @@ class LineReader:
         except ValueError:
             raise self.error(f"non-integer in {what}: {ln!r}") from None
 
-    def pairs(self, k: int, what: str) -> tuple:
-        """The next k lines as ``u v`` edges, each normalized to u < v; they
-        must be k distinct edges. Returns them as a list in file order and
-        as a frozenset."""
+    def pairs(self, k: int | None, what: str, stop: str | None = None) -> tuple:
+        """The next k lines as ``u v`` edges, each normalized to u < v; or,
+        when k is None, the lines up to the next one that starts with
+        ``stop`` (or to the end). They must be distinct edges. Returns them
+        as a list in file order and as a frozenset."""
         start = self.pos
-        if k < 0:
+        if k is not None and k < 0:
             raise self.error(f"negative number of {what}s")
-        if len(self.lines) - start < k:
-            raise FormatError(f"expected {k} {what}s, found {len(self.lines) - start}")
-        try:
-            norm = self._bulk_pairs(k)
-            self.pos = start + k
-        except ValueError:
-            # re-read line by line, which names the first bad line
-            norm = [normalize_edge(*self.ints(what, count=2)) for _ in range(k)]
+        norm: list = []
+        while len(norm) != k:
+            if not self._more():
+                if k is None:
+                    break
+                raise FormatError(f"expected {k} {what}s, found {len(norm)}")
+            # the rest of the section that lies in this chunk
+            lines, i = self._lines, self._i
+            end = len(lines) if k is None else min(len(lines), i + k - len(norm))
+            if stop is not None:
+                end = next((j for j in range(i, end) if lines[j].startswith(stop)), end)
+                if end == i:
+                    break
+            try:
+                norm += _bulk_pairs(lines[i:end])
+                self._i = end
+            except ValueError:
+                # a section cut short is named first, as a whole
+                if k is not None and self._left() < k - len(norm):
+                    raise FormatError(
+                        f"expected {k} {what}s, found {len(norm) + self._left()}") from None
+                # re-read line by line, which names the first bad line
+                norm += [normalize_edge(*self.ints(what, count=2)) for _ in range(end - i)]
         edges = frozenset(norm)
-        if len(edges) != k:
+        if len(edges) != len(norm):
             seen = set()
             for i, e in enumerate(norm):
                 if e in seen:
                     raise self.error(f"duplicate edges: {e} is listed twice", start + i)
                 seen.add(e)
         return norm, edges
-
-    def _bulk_pairs(self, k: int) -> list:
-        """The next k lines parsed in one go as normalized pairs; ValueError
-        when one of them is not two integers."""
-        # ' ; ' marks the line ends: k well-formed lines split into
-        # u v ; u v ; ... u v, and int() refuses a ';' anywhere else
-        tokens = " ; ".join(self.lines[self.pos : self.pos + k]).split()
-        if len(tokens) != 3 * k - 1 or tokens[2::3].count(";") != k - 1:
-            raise ValueError("not k lines of two fields")
-        pairs = zip(map(int, tokens[0::3]), map(int, tokens[1::3]))
-        return [(u, v) if u < v else (v, u) for u, v in pairs]
 
 
 def read_graph(r: LineReader) -> Graph:
@@ -275,7 +339,8 @@ def read_graph(r: LineReader) -> Graph:
         raise FormatError(str(exc)) from None
     # files list their edges sorted as a rule, and timsort takes a sorted
     # list in one linear pass
-    g.__dict__["sorted_edges"] = tuple(sorted(listed))
+    listed.sort()
+    g.__dict__["sorted_edges"] = tuple(listed)
     return g
 
 
@@ -294,9 +359,13 @@ def parse_edge_list(text: str) -> Graph:
     return g
 
 
+def join_blocks(items, fmt, sep: str = "") -> str:
+    """``sep.join(map(fmt, items))``, built ``JOIN_BLOCK`` items at a time so
+    that no list of one string per item is alive at once."""
+    return sep.join(sep.join(map(fmt, items[i:i + JOIN_BLOCK]))
+                    for i in range(0, len(items), JOIN_BLOCK))
+
+
 def format_edge_list(g: Graph) -> str:
-    out = [f"{g.n} {g.m}"]
-    out.extend(f"{u} {v}" for u, v in g.sorted_edges)
-    if g.black_count is not None:
-        out.append(f"colors {g.black_count} {g.n - g.black_count}")
-    return "\n".join(out) + "\n"
+    colors = "" if g.black_count is None else f"colors {g.black_count} {g.n - g.black_count}\n"
+    return "".join((f"{g.n} {g.m}\n", join_blocks(g.sorted_edges, EDGE_LINE), colors))

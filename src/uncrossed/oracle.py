@@ -289,7 +289,9 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     """
     if host.n == 0:
         raise ValueError("oracle requires a host with at least one vertex")
-    if not is_connected(host):
+    # fewer than n - 1 edges cannot connect n vertices: refused before the
+    # union-find sizes a list by the vertex count a file's header gives
+    if host.n > host.m + 1 or not is_connected(host):
         raise ValueError("oracle requires a connected host")
     if host.m > cap:
         raise OracleCapError(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 
 from uncrossed import (
@@ -163,3 +166,31 @@ def test_certificate_size_vs_bounds():
     r2 = certificate_size_vs_bounds(fat)
     assert r2.upper == 4
     assert not r2.optimal
+
+
+def _traced_peak(fn, *args):
+    """(peak bytes traced while fn(*args) runs, its result)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+def test_k400_wheel_text_formats_hold_one_chunk_at_a_time():
+    # the K_400 wheel certificate lists 79,800 host edges (0.58 MiB): reading
+    # it costs about the graph it yields, and writing it or its report a small
+    # multiple of the text
+    d = wheel_drawing(400)
+    graph_peak, _ = _traced_peak(complete_graph, 400)
+    text_peak, text = _traced_peak(serialize_drawing, d)
+    assert text_peak <= 4 * len(text)
+    parse_peak, cert = _traced_peak(parse_certificate, text)
+    assert parse_peak <= 1.5 * graph_peak
+    assert serialize_drawing(cert.drawings[0]) == text
+    rep = verify_certificate(cert)
+    lines_peak, lines = _traced_peak(rep.lines)
+    assert lines_peak <= 4 * sum(map(len, lines))
+    assert lines[-2].count("(") == 79800 - len(d.drawn)

@@ -13,8 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from uncrossed import complete_bipartite, format_edge_list, parse_certificate
-from uncrossed.cli import run
+from uncrossed import (
+    FormatError,
+    complete_bipartite,
+    complete_graph,
+    format_edge_list,
+    parse_certificate,
+)
+from uncrossed.cli import _parse_parts_file, run
 
 K5_TEXT = "5 10\n" + "\n".join(
     f"{u} {v}" for u in range(5) for v in range(u + 1, 5)
@@ -516,3 +522,64 @@ def test_verify_report_pinned(tmp_path, construct, code, digest):
     got, out, err = run_cap("verify", "--cert", cert)
     assert got == code
     assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("command", ["construct", "render", "oracle", "reduce"])
+def test_failed_write_exits_2_with_a_message(tmp_path, command):
+    bad = str(tmp_path / "missing" / "x")
+    k5 = tmp_path / "k5.txt"
+    k5.write_text(K5_TEXT)
+    cert = tmp_path / "w.cert"
+    assert run_cap("construct", "wheel", "5", "-o", str(cert))[0] == 0
+    p3, parts = tmp_path / "p3.txt", tmp_path / "p3.parts"
+    p3.write_text("3 2\n0 1\n1 2\n")
+    parts.write_text("part 1\n0 1\npart 2\n1 2\n")
+    args = {
+        "construct": ["construct", "wheel", "5", "-o", bad],
+        "render": ["render", "--cert", str(cert), "-o", bad],
+        "oracle": ["oracle", "unc", "--graph", str(k5), "--emit-cert", bad],
+        "reduce": ["reduce", "unc", "--graph", str(p3), "-k", "2",
+                   "--witness", str(parts), "--emit-cert", bad],
+    }[command]
+    code, out, err = run_cap(*args)
+    assert code == 2
+    assert err == f"error: cannot write {bad}: [Errno 2] No such file or directory: '{bad}'\n"
+    assert out == ""
+
+
+def test_oracle_refuses_a_sparse_million_vertex_header(tmp_path):
+    p = tmp_path / "sparse.txt"
+    p.write_text("1000000 1\n0 1\n")
+    code, out, err = run_cap("oracle", "h", "--graph", str(p))
+    assert code == 2
+    assert err == "error: oracle requires a connected host\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\npart 1\n", "line 1: edge line '0 1' before any 'part' header"),
+    ("part 1\n0 1\npart 3\n1 2\n", "line 3: expected 'part 2', got 'part 3'"),
+    ("# c\n\npart 1\n0 1\n0 x\n", "line 5: non-integer in edge line: '0 x'"),
+    ("part 1\n0 1\n1 0\n", "line 3: duplicate edges: (0, 1) is listed twice"),
+    ("part 1\n0 1\npart 2\n0 1 2\n", "line 4: expected edge line, got '0 1 2'"),
+    ("", "parts file contains no parts"),
+], ids=["edge-first", "part-order", "non-integer", "duplicate", "three-field", "empty"])
+def test_parts_file_messages(text, message):
+    with pytest.raises(FormatError) as exc:
+        _parse_parts_file(text)
+    assert str(exc.value) == message
+
+
+def test_parts_file_spanning_reader_chunks():
+    # three parts of K_300's edges (about 350 kB), split at fixed places, one
+    # of them empty; a part header may fall anywhere in a chunk
+    edges = sorted(complete_graph(300).edges)
+    cuts = [0, 20000, 20000, 44850]
+    want = [edges[a:b] for a, b in zip(cuts, cuts[1:])]
+    lines = []
+    for i, part in enumerate(want, 1):
+        lines.append(f"part {i}")
+        lines.extend(f"{v} {u}" for u, v in part)
+    got = _parse_parts_file("\r\n".join(lines) + "\r\n")
+    assert [sorted(p) for p in got] == want
+    assert [sorted(p) for p in _parse_parts_file("part 1\npart 2\n0 1\n")] == [[], [(0, 1)]]

@@ -345,3 +345,15 @@ def test_parse_cover_refuses_values_it_could_not_write_back(text, message):
     with pytest.raises(FormatError) as exc:
         parse_cover(text)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("cover 3 6\nkind block\ncycles 0\n",
+     "cover misses 18 edges, e.g. [(0, 3), (0, 4), (0, 5)]"),
+    ("cover 3 6\nkind block\ncycles 1\ncycle 1\nstart 0\ndegrees 4 4 4\n",
+     "cover misses 6 edges, e.g. [(0, 7), (0, 8), (1, 3)]"),
+], ids=["no-cycles", "one-cycle-of-two"])
+def test_parse_cover_refuses_a_cover_that_misses_edges(text, message):
+    with pytest.raises(FormatError) as exc:
+        parse_cover(text)
+    assert str(exc.value) == message

@@ -18,7 +18,13 @@ from uncrossed import (
 )
 from uncrossed.certify import parse_certificate, serialize_certificate
 from uncrossed.constructions import bipartite_uncrossed_collection
-from uncrossed.graph import connected_components, edges_connected, normalize_edge
+from uncrossed.graph import (
+    CHUNK_CHARS,
+    LineReader,
+    connected_components,
+    edges_connected,
+    normalize_edge,
+)
 
 
 def test_normalize_edge_orders_endpoints():
@@ -176,3 +182,76 @@ def test_certificate_with_shuffled_host_lines_parses_to_the_same_host():
     _same_graph(back.host, cert.host)
     _same_graph(back.host, Graph(8, list(cert.host.edges), black_count=3))
     assert serialize_certificate(back) == text
+
+
+# K_300 lists 44,850 edges (about 350 kB), so its edge section spans several
+# reader chunks; line 1 is the header and edge i sits on line i + 2
+K300_LINES = format_edge_list(complete_graph(300)).splitlines()
+
+
+def _k300_text(lines, sep="\n") -> str:
+    return sep.join(lines) + sep
+
+
+@pytest.mark.parametrize("index, line, message", [
+    (40123, "12 x", "line 40124: non-integer in edge line: '12 x'"),
+    (41000, "0 6", "line 41001: duplicate edges: (0, 6) is listed twice"),
+    (42000, "17", "line 42001: expected edge line, got '17'"),
+    (43000, "1 2 3", "line 43001: expected edge line, got '1 2 3'"),
+], ids=["non-integer", "duplicate", "one-field", "three-field"])
+def test_bad_edge_line_past_line_40000_is_named(index, line, message):
+    lines = list(K300_LINES)
+    lines[index] = line
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list(_k300_text(lines))
+    assert str(exc.value) == message
+
+
+def test_cut_edge_section_counts_the_lines_left():
+    message = "expected 44850 edge lines, found 29999"
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list(_k300_text(K300_LINES[:30000]))
+    assert str(exc.value) == message
+    # a bad line in a section that is also cut short: the cut is named first
+    lines = K300_LINES[:30000]
+    lines[20123] = "12 x"
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list(_k300_text(lines))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_line_endings_parse_to_the_same_graph(sep):
+    _same_graph(parse_edge_list(_k300_text(K300_LINES, sep)), complete_graph(300))
+
+
+def test_comments_and_blank_lines_anywhere_parse_to_the_same_graph():
+    lines = list(K300_LINES)
+    # a comment and a blank line around the first chunk boundary, in the
+    # middle and near the top
+    boundary = len(_k300_text(lines)[:CHUNK_CHARS].splitlines())
+    for at in (boundary + 1, boundary, 20000, 5):
+        lines[at:at] = ["  # a comment  ", "   "]
+    _same_graph(parse_edge_list(_k300_text(lines)), complete_graph(300))
+    # a bad line after the inserted lines keeps its physical line number
+    lines[30000] = "x y"
+    with pytest.raises(FormatError) as exc:
+        parse_edge_list(_k300_text(lines))
+    assert str(exc.value) == "line 30001: non-integer in edge line: 'x y'"
+
+
+def test_reader_chunks_give_the_lines_of_splitlines():
+    rng = random.Random(11)
+    seps = ["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028", "\n\n"]
+    words = ["1 2", "  3 4 ", "# c", "", "part 1", "x"]
+    text = "".join(rng.choice(words) + rng.choice(seps) for _ in range(60000))
+    assert len(text) > 3 * CHUNK_CHARS
+    want = [ln.strip() for ln in text.splitlines() if ln.strip() and ln.strip()[0] != "#"]
+    r = LineReader(text)
+    got = []
+    while r.peek() is not None:
+        got.append(r.take())
+    assert got == want
+    assert r.pos == len(want)
+    with pytest.raises(FormatError):
+        r.take()

@@ -12,6 +12,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,7 @@ from uncrossed import (
     h_complete,
     h_complete_bipartite,
     max_uncrossed_subgraph,
+    parse_edge_list,
     serialize_certificate,
     unc_complete,
     unc_complete_bipartite,
@@ -198,6 +200,20 @@ def test_oracle_rejects_disconnected():
         enumerate_admissible(Graph(4, [(0, 1), (2, 3)]))
     with pytest.raises(ValueError):
         exact_unc(Graph(3, []))
+
+
+def test_sparse_host_refused_before_sizing_by_its_vertex_count():
+    # n > m + 1 cannot be connected: refused before the union-find builds
+    # a list of 10^6 entries from the header
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            enumerate_admissible(parse_edge_list("1000000 1\n0 1\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "oracle requires a connected host"
+    assert peak < 1 << 20
 
 
 def test_cap_refusal():
