@@ -42,7 +42,6 @@ from .embedding import (
     is_planar_embedding,
     is_planar_graph,
     outerplanar_extension,
-    trace_faces,
 )
 from .errors import (
     DecompositionNotFound,
@@ -148,7 +147,6 @@ __all__ = [
     "render",
     "serialize_certificate",
     "serialize_cover",
-    "trace_faces",
     "unc_complete",
     "unc_complete_bipartite",
     "unc_forward_witness",

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .embedding import PlaneDrawing
-from .errors import FormatError, MalformedRotationError
+from .errors import FormatError
 from .formulas import BoundReport, bound_report
 from .graph import (
     EDGE_LINE,
@@ -26,6 +26,7 @@ from .graph import (
     format_edge_list,
     join_blocks,
     read_graph,
+    uncovered_edges,
 )
 
 # the text of one edge in a report line, from the pair (u, v)
@@ -95,23 +96,12 @@ def verify_drawing(host: Graph, d: PlaneDrawing) -> AdmissibilityReport:
     structural.extend(d.structural_errors())
     if structural:
         return AdmissibilityReport(ok=False, structural=tuple(structural))
-    connected = edges_connected(host.n, d.drawn)
-    if not connected:
+    if not edges_connected(host.n, d.drawn):
         return AdmissibilityReport(ok=False, connected=False)
-    try:
-        face_count = d.face_count or 1
-    except MalformedRotationError as exc:
-        return AdmissibilityReport(ok=False, structural=(str(exc),))
-    euler_ok = host.n - len(d.drawn) + face_count == 2
-    if not euler_ok:
-        return AdmissibilityReport(
-            ok=False, connected=True, euler_ok=False, face_count=face_count
-        )
-    drawn, masks = d.drawn, d.face_masks
-    violating = tuple(
-        e for e in host.sorted_edges
-        if e not in drawn and not masks[e[0]] & masks[e[1]]
-    )
+    face_count = d.face_count or 1
+    if not d.euler_ok:
+        return AdmissibilityReport(ok=False, connected=True, face_count=face_count)
+    violating = d.violating_edges()
     return AdmissibilityReport(
         ok=not violating,
         connected=True,
@@ -147,8 +137,7 @@ class CertificateReport:
 def verify_certificate(c: UncrossedCertificate) -> CertificateReport:
     """Verify every drawing and the coverage claim of a certificate."""
     reports = tuple(verify_drawing(c.host, d) for d in c.drawings)
-    covered = frozenset().union(*(d.drawn for d in c.drawings))
-    uncovered = tuple(e for e in c.host.sorted_edges if e not in covered)
+    uncovered = uncovered_edges(c.host, (d.drawn for d in c.drawings))
     ok = all(r.ok for r in reports) and not uncovered and c.size >= 1
     return CertificateReport(ok=ok, drawing_reports=reports, uncovered=uncovered)
 
@@ -188,8 +177,8 @@ def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:
 # lines graph.JOIN_BLOCK at a time, so that neither keeps one string per
 # edge of a large host. The host needs at least one vertex. The outer
 # dart must be a drawn dart; the verifier reports one that is not as a
-# malformed drawing. Verification reads the face count and cofaciality from
-# PlaneDrawing's dart tracer: one int face mask per vertex.
+# malformed drawing. Verification reads Euler's count and the violating
+# edges off PlaneDrawing's dart tracer: one int face mask per vertex.
 
 
 def serialize_certificate(c: UncrossedCertificate) -> str:

@@ -29,7 +29,8 @@ from .embedding import PlaneDrawing, is_planar_graph, outerplanar_extension
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .embedding import is_outerplanar  # noqa: F401
 from .errors import DecompositionNotFound, FormatError, NotOuterplanarError
-from .graph import Graph, LineReader, complete_bipartite, complete_graph, normalize_edge
+from .graph import (Graph, LineReader, complete_bipartite, complete_graph, normalize_edge,
+                    uncovered_edges)
 
 
 # --- wheels ----------------------------------------------------------------
@@ -186,10 +187,10 @@ class DoubleCycleCover:
 
     def validate(self):
         """Recheck that the cycles really cover all of K_{m,n}."""
-        host = complete_bipartite(self.m, self.n)
-        missing = host.edges - self.union_edges()
+        missing = uncovered_edges(complete_bipartite(self.m, self.n),
+                                  (c.edges() for c in self.cycles))
         if missing:
-            raise ValueError(f"cover misses {len(missing)} edges, e.g. {sorted(missing)[:3]}")
+            raise ValueError(f"cover misses {len(missing)} edges, e.g. {list(missing[:3])}")
 
 
 def _rotating_layouts(m: int, n: int, total: int) -> list:
@@ -275,19 +276,18 @@ def embed_double_cycle(c: DoubleCycle, host: Graph | None = None) -> PlaneDrawin
     """Admissible drawing of K_{m,n} from one double cycle.
 
     The first white of each pair goes inside the black cycle, the second
-    outside; leaves and any whites the cycle does not use hang inside. Both
-    big faces border every black, so all undrawn black-white pairs are
-    cofacial. Requires the cycle to pass through all m blacks. ``host``, when
-    given, must be K_{m,n}; the cycles of one cover share it.
+    outside; leaves hang inside. Both big faces border every black, so all
+    undrawn black-white pairs are cofacial. Requires the cycle to pass
+    through all m blacks and to use all n whites. ``host``, when given, must
+    be K_{m,n}; the cycles of one cover share it.
     """
     if set(c.black_cycle) != set(range(c.m)):
         raise ValueError("embedding needs the cycle to visit every black")
+    if sum(map(len, c.quad_whites)) + sum(map(len, c.leaves)) != c.n:
+        raise ValueError("embedding needs the cycle to use every white")
     if host is None:
         host = complete_bipartite(c.m, c.n)
     k = c.k
-    used = {w for q in c.quad_whites for w in q}
-    used.update(w for L in c.leaves for w in L)
-    extra = tuple(w for w in range(c.m, c.m + c.n) if w not in used)
     rot: dict[int, list] = {}
     for p in range(k):
         b = c.black_cycle[p]
@@ -297,8 +297,6 @@ def embed_double_cycle(c: DoubleCycle, host: Graph | None = None) -> PlaneDrawin
         x_prev = c.quad_whites[prev][0]
         y_prev = c.quad_whites[prev][1] if len(c.quad_whites[prev]) > 1 else None
         order = [x_p] + list(c.leaves[p])
-        if p == 0:
-            order += list(extra)
         order.append(x_prev)
         if y_prev is not None:
             order.append(y_prev)
@@ -312,17 +310,13 @@ def embed_double_cycle(c: DoubleCycle, host: Graph | None = None) -> PlaneDrawin
             rot[c.quad_whites[p][1]] = [b2, b]
         for w in c.leaves[p]:
             rot[w] = [b]
-    for w in extra:
-        rot[w] = [c.black_cycle[0]]
-    drawn = set(c.edges())
-    drawn.update(normalize_edge(c.black_cycle[0], w) for w in extra)
     rotation = tuple(tuple(rot.get(v, ())) for v in range(host.n))
     outer = None
     for p in range(k):
         if len(c.quad_whites[p]) > 1:
             outer = (c.black_cycle[p], c.quad_whites[p][1])
             break
-    return PlaneDrawing(host, frozenset(drawn), rotation, outer_dart=outer)
+    return PlaneDrawing(host, c.edges(), rotation, outer_dart=outer)
 
 
 # --- outerplanar covers for the dense bipartite range ----------------------
@@ -382,7 +376,7 @@ def outerplanar_cover(m: int, n: int) -> list:
                     f"decomposition not found for K_{{{m},{n}}}: chain {t} failed"
                 )
             pairs.append((part, drawing))
-        if set().union(*(part for part, _ in pairs)) != host.edges:
+        if uncovered_edges(host, (part for part, _ in pairs)):
             raise DecompositionNotFound(
                 f"decomposition not found for K_{{{m},{n}}}: coverage miss"
             )
@@ -422,17 +416,13 @@ def collection_from_outerplanar_decomposition(g: Graph, parts) -> UncrossedCerti
     Each part is drawn with every vertex of g on one shared face (components
     embedded outerplanarly, then bridged through that face), which makes every
     drawing admissible regardless of what it leaves undrawn. Requires g
-    connected and the parts to cover all edges.
+    connected and the parts to cover all edges; ``outerplanar_extension``
+    refuses a part edge that is not a host edge.
     """
     part_sets = [frozenset(normalize_edge(u, v) for u, v in p) for p in parts]
-    union: set = set()
-    for p in part_sets:
-        for e in p:
-            if e not in g.edges:
-                raise ValueError(f"part edge {e} is not an edge of the host")
-        union |= p
-    if union != set(g.edges):
-        raise ValueError(f"parts miss {len(set(g.edges) - union)} host edges")
+    missing = uncovered_edges(g, part_sets)
+    if missing:
+        raise ValueError(f"parts miss {len(missing)} host edges")
     drawings = tuple(outerplanar_extension(g, p) for p in part_sets)
     return UncrossedCertificate(g, drawings)
 

@@ -13,11 +13,12 @@ One integer tracer serves every reader. Darts are numbered as slots, the
 vertices in sorted order and the darts out of each in rotation order, so
 dart ``(v, rotation[v][i])`` is slot ``off[v] + i``; faces are the cycles of
 a flat successor list over those slots, and a face's id is the rank of its
-lowest slot. ``PlaneDrawing`` keeps only the face count and one face bitmask
-per vertex, which the verifier, ``is_planar_embedding``, ``cofacial`` and the
-oracle's witness check read; ``Face`` objects with their walks are built
-only for the renderer and callers of ``faces``, ``outer_face`` and
-``trace_faces``.
+lowest slot. ``_face_masks`` ORs each face's bit into a mask per vertex, for
+``PlaneDrawing`` and the oracle's kernel alike. A drawing keeps only the face
+count and those masks, and answers Euler's count (``euler_ok``) and the
+cofacial rule (``violating_edges``) for the verifier, ``is_planar_embedding``
+and the oracle's witness check. ``Face`` objects with their walks are built
+only for the renderer and callers of ``faces`` and ``outer_face``.
 
 Outerplanar embedding is pure Python, one biconnected block at a time (the
 degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
@@ -120,6 +121,25 @@ def _face_slots(succ: list) -> list:
     return faces
 
 
+def _face_masks(succ: list, ends: list, n: int) -> tuple:
+    """(face count, masks): the faces are the cycles of ``succ`` in the order
+    of their lowest slots, and face f sets bit f in ``masks[ends[s]]`` for
+    each slot s on it, ``ends`` giving one end of each slot's dart."""
+    masks = [0] * n
+    seen = bytearray(len(succ))
+    bit = 1
+    for s in range(len(succ)):
+        if seen[s]:
+            continue
+        cur = s
+        while not seen[cur]:
+            seen[cur] = 1
+            masks[ends[cur]] |= bit
+            cur = succ[cur]
+        bit <<= 1
+    return bit.bit_length() - 1, masks
+
+
 def trace_rotation(rotation) -> list[Face]:
     """Trace all faces of a rotation system given as vertex -> neighbor tuple.
 
@@ -216,13 +236,8 @@ class PlaneDrawing:
     def _face_data(self) -> tuple:
         # only the count and the masks are kept, not the dart slots
         tails, _, succ = _dart_slots(self.rotation_map())
-        masks = [0] * self.host.n
-        walks = _face_slots(succ)
-        for f, walk in enumerate(walks):
-            bit = 1 << f
-            for s in walk:
-                masks[tails[s]] |= bit
-        return len(walks), tuple(masks)
+        count, masks = _face_masks(succ, tails, self.host.n)
+        return count, tuple(masks)
 
     @property
     def face_count(self) -> int:
@@ -239,6 +254,19 @@ class PlaneDrawing:
         """
         return self._face_data[1]
 
+    @property
+    def euler_ok(self) -> bool:
+        """V - E + F = 2, where a drawing with no darts has one face."""
+        return self.host.n - len(self.drawn) + (self.face_count or 1) == 2
+
+    def violating_edges(self) -> tuple:
+        """The undrawn host edges, in sorted order, whose ends share no face."""
+        drawn, masks = self.drawn, self.face_masks
+        return tuple(
+            e for e in self.host.sorted_edges
+            if e not in drawn and not masks[e[0]] & masks[e[1]]
+        )
+
     def outer_face(self) -> Face | None:
         if self.outer_dart is None:
             return None
@@ -246,11 +274,6 @@ class PlaneDrawing:
             if self.outer_dart in f.walk:
                 return f
         raise ValueError(f"outer dart {self.outer_dart} lies on no face")
-
-
-def trace_faces(d: PlaneDrawing) -> list[Face]:
-    """All faces of the drawing, deterministically ordered."""
-    return list(d.faces)
 
 
 def is_planar_embedding(d: PlaneDrawing) -> bool:
@@ -261,11 +284,7 @@ def is_planar_embedding(d: PlaneDrawing) -> bool:
     """
     if d.structural_errors():
         return False
-    if not edges_connected(d.host.n, d.drawn):
-        return False
-    # a connected drawing with no darts is a lone vertex: one face
-    face_count = d.face_count or 1
-    return d.host.n - len(d.drawn) + face_count == 2
+    return edges_connected(d.host.n, d.drawn) and d.euler_ok
 
 
 def cofacial(d: PlaneDrawing, u: int, v: int) -> bool:

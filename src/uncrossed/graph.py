@@ -127,6 +127,12 @@ def complete_bipartite(m: int, n: int) -> Graph:
     return Graph._trusted(m + n, edges, black_count=m)
 
 
+def uncovered_edges(g: Graph, parts) -> tuple:
+    """The edges of g, in sorted order, that no part (an edge set) holds."""
+    covered = frozenset().union(*parts)
+    return tuple(e for e in g.sorted_edges if e not in covered)
+
+
 def _find(parent, x: int) -> int:
     """Union-find root of x in ``parent`` (a list, or a dict over the
     vertices placed so far), halving the path on the way."""

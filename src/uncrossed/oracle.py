@@ -11,16 +11,18 @@ The rotation search of one subset runs on integers. Darts are numbered by
 head vertex, and each candidate order of a vertex becomes, once per subset,
 a row of successor slots; a rotation system is a choice of one row per
 vertex. Faces are counted as cycles of that successor list and checked
-against Euler's count first; only a system that passes gets one bit per
-face, ORed into a mask per vertex, so that an undrawn edge (u, v) is
-cofacial when ``mask[u] & mask[v]``. The orders of the last vertex are
-tried only after the faces closing among darts into the other vertices are
-counted: every remaining face runs through one of the last vertex's darts,
-so when that count plus its degree falls short of Euler's, none of its
-orders can succeed and all are skipped. The first admissible system found is
+against Euler's count first; only a system that passes gets face masks
+from ``embedding._face_masks``, the bit of each face ORed into the mask of
+every dart head on it, and an undrawn edge (u, v) is cofacial when
+``mask[u] & mask[v]``. The orders of the last vertex are tried only after
+the faces closing among darts into the other vertices are counted: every
+remaining face runs through one of the last vertex's darts, so when that
+count plus its degree falls short of Euler's, none of its orders can
+succeed and all are skipped. The first admissible system found is
 the same as a plain ``itertools.product`` scan would find, and before it is
 returned it is traced again by ``PlaneDrawing``'s own dart tracer and
-checked with its face masks; a disagreement raises ``AssertionError``.
+checked by its ``euler_ok`` and ``violating_edges``; a disagreement raises
+``AssertionError``.
 
 The subset sweep searches only subsets that might be maximal members. Two
 twins (vertices u, v with N(u) - {v} = N(v) - {u}) can be swapped by an
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .certify import UncrossedCertificate
-from .embedding import PlaneDrawing
+from .embedding import PlaneDrawing, _face_masks
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .embedding import trace_rotation  # noqa: F401
 from .errors import OracleCapError
@@ -130,23 +132,8 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
             vrows.append(tuple(slot[after[u]][v] for u in nb))
         rows.append(vrows)
     last = n - 1
-    low, total = off[last], off[n]
+    low = off[last]
     target = 2 - n + e
-
-    def cofacial_all(succ) -> bool:
-        mask = [0] * n
-        seen = bytearray(total)
-        bit = 1
-        for s in range(total):
-            if seen[s]:
-                continue
-            cur = s
-            while not seen[cur]:
-                seen[cur] = 1
-                mask[head[cur]] |= bit
-                cur = succ[cur]
-            bit <<= 1
-        return all(mask[u] & mask[v] for u, v in undrawn)
 
     # darts out of the last vertex; its rows say, for each dart into it,
     # which of these follows
@@ -193,20 +180,19 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
                 continue
             planar = True
             succ[low:] = row
-            if not cofacial_all(succ):
+            _, mask = _face_masks(succ, head, n)
+            if not all(mask[u] & mask[v] for u, v in undrawn):
                 continue
             rotation = tuple(
                 cand[v][rows[v].index(r)] for v, r in enumerate(prefix + (row,))
             )
-            return _confirm(PlaneDrawing(host, edges, rotation), undrawn), True
+            return _confirm(PlaneDrawing(host, edges, rotation)), True
     return None, planar
 
 
-def _confirm(d: PlaneDrawing, undrawn: list) -> PlaneDrawing:
+def _confirm(d: PlaneDrawing) -> PlaneDrawing:
     """Re-check a kernel witness with the drawing's own face tracer."""
-    masks = d.face_masks
-    if not (d.host.n - len(d.drawn) + (d.face_count or 1) == 2
-            and all(masks[u] & masks[v] for u, v in undrawn)):
+    if not d.euler_ok or d.violating_edges():
         raise AssertionError(f"face tracer rejects the kernel's rotation {d.rotation}")
     return d
 
@@ -268,7 +254,7 @@ def _relabeled(host: Graph, witness: PlaneDrawing, vmap: tuple) -> PlaneDrawing:
     for v, order in enumerate(witness.rotation):
         rotation[vmap[v]] = tuple(vmap[u] for u in order)
     edges = frozenset(normalize_edge(vmap[u], vmap[v]) for u, v in witness.drawn)
-    return _confirm(PlaneDrawing(host, edges, rotation), sorted(host.edges - edges))
+    return _confirm(PlaneDrawing(host, edges, rotation))
 
 
 def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .certify import UncrossedCertificate, verify_drawing
 from .embedding import OuterBuilder, PlaneDrawing, is_outerplanar
 from .errors import NotOuterplanarError, OracleCapError
-from .graph import Graph, normalize_edge
+from .graph import Graph, normalize_edge, uncovered_edges
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .graph import connected_components  # noqa: F401
 
@@ -165,7 +165,6 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
         raise ValueError("the unc witness needs at least 2 parts")
     if len(part_sets) > inst.budget:
         raise ValueError(f"k = {inst.k} allows at most {inst.budget} parts, got {len(part_sets)}")
-    union: set = set()
     builders = []
     for p in part_sets:
         if not p <= g.edges:
@@ -176,9 +175,9 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
         except NotOuterplanarError:
             raise NotOuterplanarError("a part is not outerplanar") from None
         builders.append(builder)
-        union |= p
-    if union != set(g.edges):
-        raise ValueError(f"parts miss {len(set(g.edges) - union)} source edges")
+    missing = uncovered_edges(g, part_sets)
+    if missing:
+        raise ValueError(f"parts miss {len(missing)} source edges")
     center = inst.gadget_map["center"]
     paths = inst.gadget_map["paths"]
     drawings = []

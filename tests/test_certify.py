@@ -13,7 +13,10 @@ from uncrossed import (
     PlaneDrawing,
     UncrossedCertificate,
     certificate_size_vs_bounds,
+    complete_bipartite,
     complete_graph,
+    double_cycle_cover,
+    embed_double_cycle,
     k5_two_wheel_certificate,
     parse_certificate,
     serialize_certificate,
@@ -22,6 +25,7 @@ from uncrossed import (
     wheel_drawing,
 )
 from uncrossed.certify import serialize_drawing
+from uncrossed.reductions import ecr_forward_witness, reduce_mos_to_ecr
 
 
 def test_wheel_drawing_is_admissible():
@@ -31,6 +35,51 @@ def test_wheel_drawing_is_admissible():
         assert rep.ok, rep.lines()
         assert rep.connected and rep.euler_ok
         assert rep.violating_edges == ()
+
+
+def _broken_rotations(d: PlaneDrawing):
+    """(name, rotation) pairs: the rotation of d broken at one vertex at a time."""
+    rot = d.rotation
+    n = len(rot)
+    for v in range(n):
+        if not rot[v]:
+            continue
+        # the next vertex whose neighbours differ, so the swap breaks both
+        w = next(x % n for x in range(v + 1, v + n) if set(rot[x % n]) != set(rot[v]))
+        swapped = list(rot)
+        swapped[v], swapped[w] = rot[w], rot[v]
+        yield "swap", tuple(swapped)
+        rings = [("drop", rot[v][1:]), ("repeat", rot[v] + rot[v][:1]),
+                 ("self", rot[v] + (v,)), ("past n", rot[v] + (n,)),
+                 ("negative", (-1,) + rot[v])]
+        # a vertex not drawn to v, when there is one (a wheel's hub has none)
+        foreign = next((x for x in range(n) if x != v and x not in rot[v]), None)
+        if foreign is not None:
+            rings.append(("foreign", rot[v] + (foreign,)))
+        for name, ring in rings:
+            yield name, rot[:v] + (ring,) + rot[v + 1:]
+
+
+@pytest.mark.parametrize("which", ["wheel", "double cycle", "ecr witness"])
+def test_verify_reports_broken_rotations_as_malformed(which):
+    # verify_drawing traces faces only after structural_errors finds nothing,
+    # so a broken rotation must come back as a malformed report, never raise
+    triangle = complete_graph(3)
+    d = {
+        "wheel": lambda: wheel_drawing(6),
+        "double cycle": lambda: embed_double_cycle(double_cycle_cover(3, 6).cycles[0]),
+        "ecr witness": lambda: ecr_forward_witness(
+            reduce_mos_to_ecr(triangle, 3), sorted(triangle.edges)),
+    }[which]()
+    assert verify_drawing(d.host, d).ok
+    seen = set()
+    for name, rotation in _broken_rotations(d):
+        broken = PlaneDrawing(d.host, d.drawn, rotation, d.outer_dart)
+        rep = verify_drawing(d.host, broken)
+        assert rep.malformed and not rep.ok, (name, rotation)
+        assert rep.lines()[0].startswith("malformed: ")
+        seen.add(name)
+    assert len(seen) == 7
 
 
 def test_verify_flags_host_mismatch():

@@ -306,6 +306,17 @@ def test_reduce_without_witness_prints_instance(tmp_path):
     assert "budget" in out
 
 
+def test_reduce_json_without_witness_pins_target(tmp_path):
+    g = tmp_path / "p3.txt"
+    g.write_text("3 2\n0 1\n1 2\n")
+    code, out, err = run_cap("reduce", "unc", "--graph", str(g), "-k", "2", "--json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"budget": 2, "k": 2, "kind": "unc", "target": {"edges": [[0, 1], [0, 4], '
+        '[1, 2], [1, 5], [2, 6], [3, 4], [3, 5], [3, 6]], "n": 7}}\n'
+    )
+
+
 def test_render_certificate_svg_and_dot(tmp_path):
     cert_path = str(tmp_path / "c.cert")
     assert run_cap("construct", "collection", "4", "7", "-o", cert_path)[0] == 0

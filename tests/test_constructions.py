@@ -19,6 +19,7 @@ from uncrossed import (
     FormatError,
     bipartite_uncrossed_collection,
     complete_bipartite,
+    complete_graph,
     double_cycle_cover,
     double_cycle_cover_minus_one,
     embed_double_cycle,
@@ -30,6 +31,7 @@ from uncrossed import (
     parse_cover,
     serialize_certificate,
     serialize_cover,
+    unc_complete,
     unc_complete_bipartite,
     verify_certificate,
     verify_drawing,
@@ -244,6 +246,48 @@ def test_collection_from_decomposition_rejects_bad_parts():
         collection_from_outerplanar_decomposition(g, [[(0, 1)]])  # not host edges
     with pytest.raises(ValueError):
         collection_from_outerplanar_decomposition(g, [[(0, 3)]])  # union too small
+
+
+def test_collection_from_decomposition_names_a_foreign_edge():
+    g = complete_bipartite(3, 3)
+    parts = [[(0, 1), (0, 3)], sorted(g.edges)]  # (0, 1) joins two blacks
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is not a host edge"):
+        collection_from_outerplanar_decomposition(g, parts)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 6), (5, 5), (5, 8)])
+def test_collection_from_decomposition_of_outerplanar_cover(m, n):
+    pairs = outerplanar_cover(m, n)
+    cert = collection_from_outerplanar_decomposition(
+        complete_bipartite(m, n), [part for part, _ in pairs]
+    )
+    assert verify_certificate(cert).ok
+    assert cert.size == unc_complete_bipartite(m, n)
+    # both draw each part with outerplanar_extension
+    assert cert.drawings == tuple(d for _, d in pairs)
+
+
+@pytest.mark.parametrize("n,parts", [
+    # a fan-triangulated pentagon and the path 3-1-4-2
+    (5, [[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2), (0, 3)],
+         [(1, 3), (1, 4), (2, 4)]]),
+    # a fan-triangulated hexagon and the pentagon 1-4-2-5-3 with chord 1-5
+    (6, [[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2), (0, 3), (0, 4)],
+         [(1, 3), (1, 4), (1, 5), (2, 4), (2, 5), (3, 5)]]),
+])
+def test_collection_from_outerplanar_split_of_complete_graph(n, parts):
+    cert = collection_from_outerplanar_decomposition(complete_graph(n), parts)
+    assert verify_certificate(cert).ok
+    assert cert.size == unc_complete(n) == 2
+
+
+def test_embed_double_cycle_refuses_unused_whites():
+    # through every black of K_{3,7}, but white 9 is on no cycle edge or leaf
+    c = DoubleCycle(3, 7, (0, 1, 2), ((3, 4), (5, 6), (7, 8)), ((), (), ()))
+    with pytest.raises(ValueError, match="embedding needs the cycle to use every white"):
+        embed_double_cycle(c)
+    full = DoubleCycle(3, 7, (0, 1, 2), ((3, 4), (5, 6), (7, 8)), ((9,), (), ()))
+    assert verify_drawing(complete_bipartite(3, 7), embed_double_cycle(full)).ok
 
 
 def test_bipartite_collection_planar_regime():

@@ -26,7 +26,6 @@ from uncrossed import (
     is_planar_embedding,
     is_planar_graph,
     outerplanar_extension,
-    trace_faces,
 )
 from uncrossed.certify import serialize_drawing, verify_drawing
 from uncrossed.embedding import OuterBuilder, _embed_component_outerplanar, trace_rotation
@@ -46,7 +45,7 @@ def k4_plane_drawing():
 
 
 def test_triangle_has_two_faces():
-    faces = trace_faces(triangle_drawing())
+    faces = list(triangle_drawing().faces)
     assert len(faces) == 2
     assert all(f.length == 3 for f in faces)
     assert is_planar_embedding(triangle_drawing())
@@ -54,7 +53,7 @@ def test_triangle_has_two_faces():
 
 def test_face_walks_cover_each_dart_once():
     d = k4_plane_drawing()
-    faces = trace_faces(d)
+    faces = list(d.faces)
     darts = [dart for f in faces for dart in f.walk]
     assert len(darts) == 2 * len(d.drawn)
     assert len(set(darts)) == len(darts)
@@ -122,6 +121,38 @@ def test_is_planar_graph_matches_bruteforce():
         if witness is not None:
             assert witness.drawn == g.edges
             assert is_planar_embedding(witness)
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, outer + spokes + inner)
+
+
+def test_is_planar_graph_refuses_nonplanar_hosts():
+    k33 = complete_bipartite(3, 3)
+    # K_{3,3} with edge (0, 3) subdivided by vertex 6
+    subdivided = Graph(7, sorted(k33.edges - {(0, 3)}) + [(0, 6), (3, 6)])
+    for g in (complete_graph(5), k33, complete_bipartite(3, 4), subdivided,
+              _petersen(), complete_graph(6)):
+        assert not H.planar_by_rotations(g.n, sorted(g.edges)), g
+        assert is_planar_graph(g) == (False, None), g
+
+
+def test_euler_and_violating_edges_of_small_drawings():
+    # a lone vertex has one face and nothing to violate
+    lone = PlaneDrawing(complete_graph(1), frozenset(), ((),))
+    assert lone.face_count == 0 and lone.euler_ok and lone.violating_edges() == ()
+    # K_4 with every rotation in sorted order has two faces, not four
+    k4 = complete_graph(4)
+    twisted = PlaneDrawing(k4, k4.edges, tuple(
+        tuple(u for u in range(4) if u != v) for v in range(4)))
+    assert twisted.face_count == 2 and not twisted.euler_ok
+    # a path 0-1-2 inside the triangle: the one face holds 0 and 2
+    tri = complete_graph(3)
+    path = PlaneDrawing(tri, [(0, 1), (1, 2)], ((1,), (0, 2), (1,)))
+    assert path.euler_ok and path.violating_edges() == ()
 
 
 def test_is_outerplanar_matches_bruteforce():

@@ -30,6 +30,7 @@ from uncrossed import (
     exact_unc,
     h_complete,
     h_complete_bipartite,
+    is_planar_graph,
     max_uncrossed_subgraph,
     parse_edge_list,
     serialize_certificate,
@@ -38,7 +39,7 @@ from uncrossed import (
     verify_certificate,
     verify_drawing,
 )
-from uncrossed.oracle import _admissible_witness
+from uncrossed.oracle import _admissible_witness, _confirm
 
 
 def test_k4_fully_drawable():
@@ -496,3 +497,23 @@ def test_k36_exact_values_at_cap_18():
     u, cert = exact_unc(host, family=fam)
     assert u == unc_complete_bipartite(3, 6) == 2
     assert verify_certificate(cert).ok
+
+
+def test_confirm_refuses_what_the_face_tracer_rejects():
+    # K_4 with every rotation in sorted order: two faces, not Euler's four
+    k4 = complete_graph(4)
+    twisted = PlaneDrawing(k4, k4.edges, tuple(
+        tuple(u for u in range(4) if u != v) for v in range(4)))
+    with pytest.raises(AssertionError, match="face tracer rejects the kernel's rotation"):
+        _confirm(twisted)
+    # the octahedron drawn plane leaves its antipodal pair (0, 1) on no face
+    octahedron = [(u, v) for u in range(6) for v in range(u + 1, 6)
+                  if (u, v) not in ((0, 1), (2, 3), (4, 5))]
+    ok, emb = is_planar_graph(Graph(6, octahedron))
+    assert ok
+    apart = PlaneDrawing(Graph(6, octahedron + [(0, 1)]), octahedron, emb.rotation)
+    assert apart.euler_ok and apart.violating_edges() == ((0, 1),)
+    with pytest.raises(AssertionError, match="face tracer rejects the kernel's rotation"):
+        _confirm(apart)
+    # an admissible drawing comes back as it was given
+    assert _confirm(emb) is emb

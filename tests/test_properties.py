@@ -29,7 +29,6 @@ from uncrossed import (
     parse_edge_list,
     serialize_certificate,
     serialize_cover,
-    trace_faces,
     unc_complete_bipartite,
     unc_lower_bound_density,
     unc_lower_bound_h,
@@ -123,7 +122,7 @@ def test_density_reference(data):
 def test_face_dart_conservation(host_tree):
     host, tree = host_tree
     d = outerplanar_extension(host, tree)
-    faces = trace_faces(d)
+    faces = list(d.faces)
     assert sum(f.length for f in faces) == 2 * len(d.drawn)
     assert len(faces) == 2 - host.n + len(d.drawn)  # Euler on a tree gives 1
     rep = verify_drawing(host, d)
@@ -145,8 +144,8 @@ def test_rotation_start_invariance(n, data):
     rep1, rep2 = verify_drawing(d.host, d), verify_drawing(d.host, d2)
     assert rep1.ok and rep2.ok
     assert rep1.face_count == rep2.face_count
-    darts1 = {frozenset(f.walk) for f in trace_faces(d)}
-    darts2 = {frozenset(f.walk) for f in trace_faces(d2)}
+    darts1 = {frozenset(f.walk) for f in list(d.faces)}
+    darts2 = {frozenset(f.walk) for f in list(d2.faces)}
     assert darts1 == darts2
 
 

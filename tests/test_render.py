@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import random
 
 import numpy as np
@@ -91,6 +92,28 @@ def test_layout_override_falls_back_cleanly():
     assert svg.startswith("<svg")
     svg2 = render(wheel_drawing(6), RenderSpec(labels=False))
     assert "<text" not in svg2.split(">", 1)[1] or svg2.count("<text") < svg.count("<text")
+
+
+def test_forced_layouts_match_auto_where_they_fit():
+    wheel = wheel_drawing(7)
+    cycle = embed_double_cycle(double_cycle_cover(4, 9).cycles[0])
+    assert render(wheel, RenderSpec(layout="radial-wheel")) == render(wheel)
+    assert render(cycle, RenderSpec(layout="bipartite-circular")) == render(cycle)
+
+
+def test_forced_layouts_fall_back_where_they_do_not_fit(monkeypatch):
+    wheel = wheel_drawing(7)
+    cycle = embed_double_cycle(double_cycle_cover(4, 9).cycles[0])
+    # a wheel has no colouring: the bipartite layout falls back to barycentric
+    assert render(wheel, RenderSpec(layout="bipartite-circular")) == render(
+        wheel, RenderSpec(layout="tutte-barycentric"))
+    # a double cycle has no hub: the radial layout falls back to the circle
+    forced = render(cycle, RenderSpec(layout="radial-wheel"))
+    assert forced != render(cycle)
+    # the package's ``render`` function shadows the module of that name
+    module = importlib.import_module("uncrossed.render")
+    monkeypatch.setattr(module, "_positions", lambda d, layout: _circle_positions(d))
+    assert forced == render(cycle)
 
 
 def _boundary(d: PlaneDrawing) -> list:
