@@ -13,7 +13,6 @@ from uncrossed import (
     PlaneDrawing,
     UncrossedCertificate,
     certificate_size_vs_bounds,
-    complete_bipartite,
     complete_graph,
     double_cycle_cover,
     embed_double_cycle,
