@@ -222,6 +222,8 @@ def _cmd_verify(args) -> int:
 def _cmd_oracle(args) -> int:
     if args.quantity == "mus" and args.k is None:
         raise FormatError("oracle mus requires -k")
+    if args.emit_cert and args.quantity != "unc":
+        raise FormatError("oracle --emit-cert requires unc")
     g = _load_graph(args.graph)
     family = orc.enumerate_admissible(g, cap=args.cap)
     if args.quantity == "h":
@@ -250,6 +252,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.emit_cert and args.witness is None:
+        raise FormatError("reduce --emit-cert requires --witness")
     g = _load_graph(args.graph)
     if args.kind == "ecr":
         _check_host_size(g.n + 4 * g.n * g.m)

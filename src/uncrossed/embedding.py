@@ -14,11 +14,13 @@ vertices in sorted order and the darts out of each in rotation order, so
 dart ``(v, rotation[v][i])`` is slot ``off[v] + i``; faces are the cycles of
 a flat successor list over those slots, and a face's id is the rank of its
 lowest slot. ``_face_masks`` ORs each face's bit into a mask per vertex, for
-``PlaneDrawing`` and the oracle's kernel alike. A drawing keeps only the face
-count and those masks, and answers Euler's count (``euler_ok``) and the
-cofacial rule (``violating_edges``) for the verifier, ``is_planar_embedding``
-and the oracle's witness check. ``Face`` objects with their walks are built
-only for the renderer and callers of ``faces`` and ``outer_face``.
+``PlaneDrawing`` and the oracle's kernel alike. A drawing's ``drawn`` and
+``rotation`` are the one record of its edges. It keeps only the face count
+and those masks, and answers ``undrawn`` (sorted), Euler's count
+(``euler_ok``) and the cofacial rule (``violating_edges``) for the verifier,
+the renderer, ``is_planar_embedding`` and the oracle. ``Face`` objects with
+their walks are built only for the renderer and callers of ``faces`` and
+``outer_face``.
 
 Outerplanar embedding is pure Python, one biconnected block at a time (the
 degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
@@ -195,8 +197,9 @@ class PlaneDrawing:
             )
 
     @property
-    def undrawn(self) -> frozenset:
-        return self.host.edges - self.drawn
+    def undrawn(self) -> tuple:
+        """The host edges not drawn, in sorted order."""
+        return tuple(e for e in self.host.sorted_edges if e not in self.drawn)
 
     def rotation_map(self) -> dict:
         return {v: self.rotation[v] for v in range(self.host.n)}
@@ -204,9 +207,8 @@ class PlaneDrawing:
     def structural_errors(self) -> list[str]:
         """Shape problems that make face tracing meaningless."""
         errs = []
-        for u, v in sorted(self.drawn):
-            if (u, v) not in self.host.edges:
-                errs.append(f"drawn edge ({u}, {v}) is not a host edge")
+        for u, v in sorted(self.drawn - self.host.edges):
+            errs.append(f"drawn edge ({u}, {v}) is not a host edge")
         if self.outer_dart is not None:
             u, v = self.outer_dart
             if normalize_edge(u, v) not in self.drawn:

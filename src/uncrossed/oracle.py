@@ -1,11 +1,12 @@
 """Exact brute-force reference for tiny hosts.
 
-Enumerates every maximal admissible edge set of a connected host by searching
-all rotation systems of all connected spanning subgraphs, then answers
-h (largest admissible set), ecr (edges minus h), and unc (minimum cover of
-the edge set by admissible sets) exactly. Intended as ground truth against
-the closed forms and constructions, not for anything beyond a dozen edges;
-oversized hosts are refused up front with a size estimate.
+Enumerates every maximal admissible edge set of a connected host, each as the
+witness drawing that draws it, by searching all rotation systems of all
+connected spanning subgraphs, then answers h (largest admissible set), ecr
+(edges minus h), and unc (minimum cover of the edge set by admissible sets)
+exactly. Intended as ground truth against the closed forms and constructions,
+not for anything beyond a dozen edges; oversized hosts are refused up front
+with a size estimate.
 
 The rotation search of one subset runs on integers. Darts are numbered by
 head vertex, and each candidate order of a vertex becomes, once per subset,
@@ -61,21 +62,21 @@ from .graph import Graph, edges_connected, is_connected, normalize_edge
 
 @dataclass(frozen=True)
 class AdmissibleFamily:
-    """All maximal admissible edge sets of a host, each with a witness drawing.
+    """All maximal admissible edge sets of a host, as their witness drawings.
 
-    ``members`` is ordered by decreasing size, then lexicographically; every
-    admissible set of the host is a subset of some member (admissibility is
-    closed under deleting edges while connectivity allows). ``firsts`` holds
-    the indices of the members that the kernel searched, the first of each
-    twin-swap orbit; None stands for every member.
+    A member's edge set is its ``drawn``. ``members`` is ordered by decreasing
+    size, then lexicographically; every admissible set of the host is a
+    subset of some member's (admissibility is closed under deleting edges
+    while connectivity allows). ``firsts`` holds the indices of the members
+    that the kernel searched, the first of each twin-swap orbit.
     """
 
     host: Graph
-    members: tuple  # tuple[(frozenset edges, PlaneDrawing), ...]
-    firsts: tuple | None = None
+    members: tuple  # tuple[PlaneDrawing, ...]
+    firsts: tuple
 
     def sizes(self) -> tuple:
-        return tuple(len(e) for e, _ in self.members)
+        return tuple(len(d.drawn) for d in self.members)
 
     def max_size(self) -> int:
         return max(self.sizes(), default=0)
@@ -258,7 +259,7 @@ def _relabeled(host: Graph, witness: PlaneDrawing, vmap: tuple) -> PlaneDrawing:
 
 
 def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
-    """All maximal admissible edge sets of a connected host, with witnesses.
+    """All maximal admissible edge sets of a connected host, as drawings.
 
     Works down from the largest candidate size, one level at a time. A
     subset is skipped unsearched when a one-edge extension of it is settled
@@ -299,7 +300,7 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
         upper = bound - 1
     lower = n - 1
     swaps = _twin_swaps(host)
-    found: list = []  # (frozenset, witness)
+    found: list = []  # witness drawings
     firsts: list = []  # indices in found of the kernel's members
     # relabeled witnesses of members not reached yet, by mask
     images: dict = {}
@@ -314,8 +315,7 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
             if mask in known:  # the orbit of a rejected subset
                 continue
             if mask in images:  # the orbit of a member
-                subset = frozenset(edge_list[b.bit_length() - 1] for b in combo)
-                found.append((subset, images.pop(mask)))
+                found.append(images.pop(mask))
                 known[mask] = True
                 continue
             # an extension inside a member makes this subset non-maximal, a
@@ -338,7 +338,7 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
             orbit = _orbit(mask, swaps, n)
             if witness is not None:
                 firsts.append(len(found))
-                found.append((subset, witness))
+                found.append(witness)
                 known[mask] = True
                 del orbit[mask]
                 for image, vmap in orbit.items():
@@ -369,9 +369,9 @@ def max_uncrossed_subgraph(
     """(True, witness edge set) when some admissible set has >= k edges."""
     if family is None:
         family = enumerate_admissible(host, cap=cap)
-    for edges, _ in family.members:
-        if len(edges) >= k:
-            return True, edges
+    for d in family.members:
+        if len(d.drawn) >= k:
+            return True, d.drawn
     return False, None
 
 
@@ -391,17 +391,16 @@ def exact_unc(
         family = enumerate_admissible(host, cap=cap)
     if host.m == 0:
         # a lone vertex still takes one (empty) drawing
-        return 1, UncrossedCertificate(host, (family.members[0][1],))
+        return 1, UncrossedCertificate(host, (family.members[0],))
     edge_index = host.edge_index
     universe = (1 << host.m) - 1
     masks = []
-    for edges, _ in family.members:
+    for d in family.members:
         mask = 0
-        for e in edges:
+        for e in d.drawn:
             mask |= 1 << edge_index[e]
         masks.append(mask)
     h = family.max_size()
-    witnesses = [w for _, w in family.members]
 
     def search(limit: int, start: int, covered: int, chosen: list) -> list | None:
         if covered == universe:
@@ -421,11 +420,10 @@ def exact_unc(
             chosen.pop()
         return None
 
-    firsts = range(len(masks)) if family.firsts is None else family.firsts
     for limit in range(max(1, ceil(host.m / h)), len(masks) + 1):
-        for i in firsts:
+        for i in family.firsts:
             got = search(limit, i + 1, masks[i], [i])
             if got is not None:
-                cert = UncrossedCertificate(host, tuple(witnesses[j] for j in got))
+                cert = UncrossedCertificate(host, tuple(family.members[j] for j in got))
                 return limit, cert
     raise AssertionError("maximal members always cover the host")

@@ -157,10 +157,7 @@ def _tutte_positions(d: PlaneDrawing) -> dict:
     for j, v in enumerate(boundary):
         a = 2 * math.pi * j / k - math.pi / 2
         pos[v] = (math.cos(a), math.sin(a))
-    adj: dict[int, list] = {v: [] for v in range(n)}
-    for u, v in d.drawn:
-        adj[u].append(v)
-        adj[v].append(u)
+    adj = d.rotation  # well formed, as render() checks: the drawn neighbours
     # one barycentric system per connected component of the interior
     interior = {v for v in range(n) if v not in pos}
     seen: set = set()
@@ -190,7 +187,7 @@ def _tutte_positions(d: PlaneDrawing) -> dict:
     return pos
 
 
-def _solve_component(comp: list, adj: dict, pos: dict) -> dict | None:
+def _solve_component(comp: list, adj: tuple, pos: dict) -> dict | None:
     """Barycentric positions of one connected set of interior vertices with
     the boundary in ``pos`` pinned, or None when the system is singular (no
     boundary neighbour)."""
@@ -248,11 +245,6 @@ def _fit(pos: dict, width: int, margin: float = 34.0) -> dict:
     }
 
 
-def _undrawn(d: PlaneDrawing) -> list:
-    """Undrawn host edges in sorted order."""
-    return [e for e in d.host.sorted_edges if e not in d.drawn]
-
-
 def _undrawn_route(d: PlaneDrawing, u: int, v: int, pos: dict, centroids: dict):
     """Control point through the lowest shared face, or None when there is
     none. ``centroids`` caches face centroids by face id for one panel."""
@@ -279,7 +271,7 @@ def _svg_panel(d: PlaneDrawing, spec: RenderSpec, offset_x: float, title: str) -
             f'font-size="13" fill="#444">{title}</text>'
         )
     centroids: dict = {}
-    for u, v in _undrawn(d):
+    for u, v in d.undrawn:
         (x1, y1), (x2, y2) = pos[u], pos[v]
         ctrl = _undrawn_route(d, u, v, pos, centroids)
         if ctrl is None:
@@ -354,7 +346,7 @@ def _render_dot(drawings, spec: RenderSpec) -> str:
             out.append(f'  {v} [pos="{x / 48:.2f},{-y / 48:.2f}!"{style}];')
         for u, v in sorted(d.drawn):
             out.append(f"  {u} -- {v} [penwidth=2];")
-        for u, v in _undrawn(d):
+        for u, v in d.undrawn:
             out.append(f'  {u} -- {v} [style=dashed, penwidth=0.5, color="#9a9996"];')
         out.append("}")
     return "\n".join(out) + "\n"

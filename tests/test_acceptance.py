@@ -86,7 +86,7 @@ def test_a2_exact_oracle_small_hosts():
 def test_a3_k5_maximum_drawings_are_wheels():
     t0 = time.perf_counter()
     fam = enumerate_admissible(complete_graph(5))
-    top = [edges for edges, _ in fam.members if len(edges) == fam.max_size()]
+    top = [d.drawn for d in fam.members if len(d.drawn) == fam.max_size()]
     assert fam.max_size() == 8
     assert len(top) == 15
     for edges in top:

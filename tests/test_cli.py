@@ -102,11 +102,11 @@ def test_verify_cross_checks_host(tmp_path, k5_file):
 def test_verify_rejects_broken_certificate(tmp_path):
     cert_path = str(tmp_path / "c.cert")
     assert run_cap("construct", "collection", "3", "4", "-o", cert_path)[0] == 0
-    text = open(cert_path).read()
+    text = Path(cert_path).read_text()
     # amputate the final drawing to break coverage
     head = text[: text.rindex("drawing ")]
     broken = str(tmp_path / "broken.cert")
-    open(broken, "w").write(head)
+    Path(broken).write_text(head)
     code, out, err = run_cap("verify", "--cert", broken)
     assert code == 1
     assert "INVALID" in out
@@ -130,12 +130,12 @@ def test_construct_cover_roundtrips(tmp_path):
     cover_path = str(tmp_path / "c.cover")
     code, out, err = run_cap("construct", "cover", "9", "24", "-o", cover_path)
     assert code == 0
-    body = open(cover_path).read()
+    body = Path(cover_path).read_text()
     assert "degrees 4 5 5 4 5 5 4 5 5" in body
     # minus-one regime picked automatically at n = 2m - 1
     code, out, err = run_cap("construct", "cover", "5", "9", "-o", cover_path)
     assert code == 0
-    assert "minus-one" in open(cover_path).read()
+    assert "minus-one" in Path(cover_path).read_text()
 
 
 @pytest.mark.parametrize("fmt", ["svg", "dot"])
@@ -160,7 +160,7 @@ def test_construct_ladder_is_admissible_but_covers_half(tmp_path):
     cert_path = str(tmp_path / "ladder.cert")
     code, out, err = run_cap("construct", "ladder", "4", "6", "-o", cert_path)
     assert code == 0 and out == ""
-    (d,) = parse_certificate(open(cert_path).read()).drawings
+    (d,) = parse_certificate(Path(cert_path).read_text()).drawings
     assert len(d.drawn) == 12
     code, out, err = run_cap("verify", "--cert", cert_path, "--json")
     assert code == 1
@@ -181,7 +181,7 @@ def test_construct_wheel_svg(tmp_path):
     svg_path = str(tmp_path / "w.svg")
     code, out, err = run_cap("construct", "wheel", "9", "--format", "svg", "-o", svg_path)
     assert code == 0
-    assert open(svg_path).read().startswith("<svg")
+    assert Path(svg_path).read_text().startswith("<svg")
 
 
 def test_oracle_unc_emits_verifiable_certificate(tmp_path, k5_file):
@@ -218,6 +218,32 @@ def test_oracle_mus_without_k_refuses_before_searching(monkeypatch, k5_file):
     assert code == 2
     assert "oracle mus requires -k" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "h"], "oracle --emit-cert requires unc"),
+    (["oracle", "ecr"], "oracle --emit-cert requires unc"),
+    (["oracle", "mus", "-k", "2"], "oracle --emit-cert requires unc"),
+    (["reduce", "ecr", "-k", "3"], "reduce --emit-cert requires --witness"),
+    (["reduce", "unc", "-k", "2"], "reduce --emit-cert requires --witness"),
+])
+def test_emit_cert_without_a_certificate_refuses(monkeypatch, tmp_path, argv, message):
+    import uncrossed.oracle as orc
+    import uncrossed.reductions as red
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command worked before checking --emit-cert")
+
+    for module, name in ((orc, "enumerate_admissible"), (red, "reduce_mos_to_ecr"),
+                         (red, "reduce_ot_to_unc")):
+        monkeypatch.setattr(module, name, no_work)
+    g, cert = tmp_path / "tri.txt", tmp_path / "tri.cert"
+    g.write_text(TRIANGLE_TEXT)
+    code, out, err = run_cap(*argv, "--graph", str(g), "--emit-cert", str(cert))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
+    assert not cert.exists()
 
 
 def test_oracle_h_on_k33(tmp_path):
@@ -323,12 +349,12 @@ def test_render_certificate_svg_and_dot(tmp_path):
     svg = str(tmp_path / "c.svg")
     code, out, err = run_cap("render", "--cert", cert_path, "-o", svg)
     assert code == 0
-    body = open(svg).read()
+    body = Path(svg).read_text()
     assert body.startswith("<svg") and "drawing 1 of" in body
     dot = str(tmp_path / "c.dot")
     code, out, err = run_cap("render", "--cert", cert_path, "--format", "dot", "-o", dot)
     assert code == 0
-    assert "graph drawing_1" in open(dot).read()
+    assert "graph drawing_1" in Path(dot).read_text()
 
 
 def test_render_refuses_malformed_drawing(tmp_path):
@@ -486,7 +512,7 @@ def test_ecr_witness_render_pinned(tmp_path, k5_file):
                              "--witness", str(parts), "--emit-cert", cert)
     assert code == 0
     assert run_cap("render", "--cert", cert, "-o", svg)[0] == 0
-    assert _sha256(open(svg).read()) == (
+    assert _sha256(Path(svg).read_text()) == (
         "0dc8a97837a694b5e64d89b6264b944029c913b2e19523f7a68cc18e02b33707"
     )
 
@@ -501,12 +527,12 @@ def test_ecr_witness_and_collection_renders_pinned(tmp_path):
     assert run_cap("reduce", "ecr", "--graph", str(graph), "-k", "7",
                    "--witness", str(parts), "--emit-cert", cert)[0] == 0
     assert run_cap("render", "--cert", cert, "-o", svg)[0] == 0
-    assert _sha256(open(svg).read()) == (
+    assert _sha256(Path(svg).read_text()) == (
         "3bf5556c338cd8b196f48eb2f5e09657f083e074264a512f5f3d1a1bf9d3268e"
     )
     assert run_cap("construct", "collection", "6", "9", "-o", cert)[0] == 0
     assert run_cap("render", "--cert", cert, "-o", svg)[0] == 0
-    assert _sha256(open(svg).read()) == (
+    assert _sha256(Path(svg).read_text()) == (
         "0ffd106c196cbffc14eeca8af879c1f32b51a4f1ff8f09eeb8c7db219c76c58d"
     )
 

@@ -90,6 +90,23 @@ def test_structural_errors_report_rotation_mismatch():
     assert any("vertex 1" in e for e in bad.structural_errors())
 
 
+def test_structural_errors_pinned_in_order():
+    # a 5-cycle drawn with two foreign chords, listed last chord first, a
+    # repeated neighbour at 0, a rotation at 2 that omits a drawn edge, and
+    # an outer dart on an undrawn edge
+    host = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+    drawn = [(4, 2), (1, 2), (3, 0), (0, 1)]
+    rotation = ((1, 3, 1), (0, 2), (1,), (0,), (2,))
+    d = PlaneDrawing(host, drawn, rotation, outer_dart=(3, 4))
+    assert d.structural_errors() == [
+        "drawn edge (0, 3) is not a host edge",
+        "drawn edge (2, 4) is not a host edge",
+        "outer dart (3, 4) is not a drawn dart",
+        "vertex 0: repeated neighbor in rotation",
+        "vertex 2: rotation lists [1], drawn edges give [1, 4]",
+    ]
+
+
 def test_disconnected_drawn_subgraph_fails_verification():
     from uncrossed import verify_drawing
 
@@ -230,7 +247,7 @@ def test_outerplanar_extension_triangle_plus_chord():
     host = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
     d = outerplanar_extension(host, [(0, 1), (1, 2), (0, 2), (2, 3)])
     assert is_planar_embedding(d)
-    assert d.undrawn == frozenset({(1, 3)})
+    assert d.undrawn == ((1, 3),)
     u, v = (1, 3)
     assert cofacial(d, u, v)
 
@@ -318,7 +335,7 @@ def test_outer_builder_expand_edge_keeps_admissibility():
     b.expand_edge(0, 1, [3, 4])
     d = b.build(host)
     assert is_planar_embedding(d)
-    assert d.undrawn == frozenset({(0, 1)})
+    assert d.undrawn == ((0, 1),)
     assert cofacial(d, 0, 1)
 
 

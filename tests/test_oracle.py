@@ -65,7 +65,7 @@ def test_k5_frozen_values():
 
 def test_k5_maximum_members_are_wheels():
     fam = enumerate_admissible(complete_graph(5))
-    top = [edges for edges, _ in fam.members if len(edges) == 8]
+    top = [d.drawn for d in fam.members if len(d.drawn) == 8]
     assert len(top) == 15
     for edges in top:
         deg = sorted(sum(1 for e in edges if v in e) for v in range(5))
@@ -140,8 +140,8 @@ def _hand_family(host, edge_sets) -> AdmissibleFamily:
         for u, v in sorted(edges):
             rotation[u].append(v)
             rotation[v].append(u)
-        members.append((edges, PlaneDrawing(host, edges, rotation)))
-    return AdmissibleFamily(host, tuple(members))
+        members.append(PlaneDrawing(host, edges, rotation))
+    return AdmissibleFamily(host, tuple(members), tuple(range(len(members))))
 
 
 def _min_set_cover(universe: frozenset, sets) -> int:
@@ -168,14 +168,14 @@ def test_exact_unc_deepens_past_a_failing_first_size():
     deepened = 0
     for fam in families:
         g = fam.host
-        edge_sets = [e for e, _ in fam.members]
+        edge_sets = [d.drawn for d in fam.members]
         best = _min_set_cover(g.edges, edge_sets)
         first = -(-g.m // fam.max_size())
         deepened += best > first
         size, cert = exact_unc(g, family=fam)
         assert size == best
         assert cert.size == size
-        witnesses = {id(w): e for e, w in fam.members}
+        witnesses = {id(d): d.drawn for d in fam.members}
         assert frozenset().union(*(witnesses[id(d)] for d in cert.drawings)) == g.edges
     assert deepened >= 10
 
@@ -241,11 +241,10 @@ def test_members_are_admissible_and_maximal():
     fam = enumerate_admissible(g)
     sizes = fam.sizes()
     assert sizes == tuple(sorted(sizes, reverse=True))
-    for edges, witness in fam.members:
-        assert witness.drawn == edges
+    for witness in fam.members:
         assert verify_drawing(g, witness).ok
     # no member contains another
-    sets = [edges for edges, _ in fam.members]
+    sets = [d.drawn for d in fam.members]
     for i, a in enumerate(sets):
         for j, b in enumerate(sets):
             assert i == j or not a < b
@@ -335,7 +334,7 @@ SWEEP_PINS = {
 
 
 def _members(fam):
-    return [(sorted(edges), witness.rotation) for edges, witness in fam.members]
+    return [(sorted(d.drawn), d.rotation) for d in fam.members]
 
 
 def test_sweep_members_and_witnesses_pinned():
@@ -429,8 +428,7 @@ def test_sweep_matches_unpruned_reference():
         # others carry a relabeled witness, checked as a drawing instead
         for i in _orbit_firsts(host, got):
             assert got[i] == want[i], host.edges
-        for edges, witness in fam.members:
-            assert witness.drawn == edges
+        for witness in fam.members:
             assert verify_drawing(host, witness).ok
 
 
@@ -463,7 +461,7 @@ def test_cover_search_from_orbit_firsts_finds_the_least_cover():
     for host in hosts:
         fam = enumerate_admissible(host, cap=host.m)
         assert fam.firsts and len(fam.firsts) < len(fam.members)
-        everyone = dataclasses.replace(fam, firsts=None)
+        everyone = dataclasses.replace(fam, firsts=tuple(range(len(fam.members))))
         (u, cert), (u_all, cert_all) = exact_unc(host, family=fam), exact_unc(host, family=everyone)
         assert u == u_all
         assert [d.rotation for d in cert.drawings] == [d.rotation for d in cert_all.drawings]

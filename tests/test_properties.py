@@ -7,6 +7,7 @@ assert how much generated coverage this suite provides in total.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import math
 import os
@@ -18,18 +19,29 @@ from uncrossed import (
     Graph,
     UncrossedCertificate,
     bipartite_uncrossed_collection,
+    collection_from_outerplanar_decomposition,
     complete_bipartite,
+    complete_graph,
     double_cycle_cover,
     double_cycle_cover_minus_one,
+    ecr_forward_witness,
+    exact_unc,
     format_edge_list,
     h_complete_bipartite,
+    is_outerplanar,
+    is_planar_graph,
+    k5_two_wheel_certificate,
+    ladder_with_leaves,
     outerplanar_extension,
     parse_certificate,
     parse_cover,
     parse_edge_list,
+    reduce_mos_to_ecr,
+    reduce_ot_to_unc,
     serialize_certificate,
     serialize_cover,
     unc_complete_bipartite,
+    unc_forward_witness,
     unc_lower_bound_density,
     unc_lower_bound_h,
     verify_certificate,
@@ -49,6 +61,7 @@ N_EXAMPLES = {
     "certificate_drop_drawing": 80,
     "certificate_roundtrip": 100,
     "cover_roundtrip": 100,
+    "undrawn_edges": 150,
     "text_format_mutations": 400,
 }
 
@@ -196,6 +209,78 @@ def test_cover_roundtrip(m, data):
     assert serialize_cover(back) == text
     assert back.union_edges() == complete_bipartite(back.m, back.n).edges
     back.validate()
+
+
+# K_4 minus the edge (1, 3), and the outerplanar split of K_4 into it and (1, 3)
+K4_PARTS = ([(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], [(1, 3)])
+
+
+@functools.lru_cache(maxsize=None)
+def _built_drawings(builder: str, k: int) -> tuple:
+    """The drawings one builder makes at size k, 3 <= k <= 7."""
+    if builder == "wheel":
+        return (wheel_drawing(k + 1),)
+    if builder == "ladder":
+        return (ladder_with_leaves(k - 2, k),)
+    if builder == "collection":
+        return bipartite_uncrossed_collection(k - 1, k + 2).drawings
+    if builder == "k5":
+        return k5_two_wheel_certificate().drawings
+    if builder == "extension":
+        return (outerplanar_extension(complete_graph(k), [(0, v) for v in range(1, k)]),)
+    if builder == "decomposition":
+        return collection_from_outerplanar_decomposition(complete_graph(4), K4_PARTS).drawings
+    if builder == "outerplanar":
+        return (is_outerplanar(Graph(k, [(0, v) for v in range(1, k)] + [(1, 2)]))[1],)
+    if builder == "planar":
+        return (is_planar_graph(Graph(k + 1, [(v, v + 1) for v in range(k)] + [(0, k)]))[1],)
+    if builder == "ecr":
+        inst = reduce_mos_to_ecr(complete_graph(4), 5)
+        return (ecr_forward_witness(inst, K4_PARTS[0]),)
+    if builder == "unc":
+        return unc_forward_witness(reduce_ot_to_unc(complete_graph(4), 2), K4_PARTS).drawings
+    # oracle witnesses
+    host = (complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4))[k % 3]
+    return exact_unc(host)[1].drawings
+
+
+@st.composite
+def built_and_mutated_drawings(draw):
+    """A drawing from one of the builders, kept as is, with one drawn edge
+    taken out of ``drawn`` and the rotation, or with one vertex's rotation
+    permuted: every mutant is well formed, so its faces can be traced."""
+    builder = draw(st.sampled_from(("wheel", "ladder", "collection", "k5", "extension",
+                                    "decomposition", "outerplanar", "planar", "ecr", "unc",
+                                    "oracle")))
+    drawings = _built_drawings(builder, draw(st.integers(3, 7)))
+    d = drawings[draw(st.integers(0, len(drawings) - 1))]
+    mutation = draw(st.sampled_from(("none", "drop", "permute")))
+    rotation = [list(r) for r in d.rotation]
+    drawn = set(d.drawn)
+    if mutation == "drop" and drawn:
+        u, v = draw(st.sampled_from(sorted(drawn)))
+        drawn.discard((u, v))
+        rotation[u].remove(v)
+        rotation[v].remove(u)
+    elif mutation == "permute":
+        v = draw(st.integers(0, d.host.n - 1))
+        rotation[v] = draw(st.permutations(rotation[v]))
+    return PlaneDrawing(d.host, frozenset(drawn), rotation)
+
+
+@settings(max_examples=N_EXAMPLES["undrawn_edges"], **COMMON)
+@given(built_and_mutated_drawings())
+def test_undrawn_edges(d):
+    assert d.structural_errors() == []
+    undrawn = d.undrawn
+    assert undrawn == tuple(sorted(undrawn))
+    assert len(undrawn) == len(d.host.edges - d.drawn)
+    assert set(undrawn) == d.host.edges - d.drawn
+    # the violating edges are the undrawn edges whose ends share no face
+    masks = d.face_masks
+    assert d.violating_edges() == tuple(
+        (u, v) for u, v in undrawn if not masks[u] & masks[v]
+    )
 
 
 # well-formed files of each text format; the parts cover K_4 outerplanarly
