@@ -11,7 +11,10 @@ Four families do the real work:
 
 The chains and the block double cycles follow one white-block rule
 (``_rotating_layouts``, ``_white_blocks``); they differ only in the total that
-the blocks share out, 2m + n - 2 for chains and 2m + n for cycles.
+the blocks share out, 2m + n - 2 for chains and 2m + n for cycles. At
+n in {m, m+1} the chains are shifted copies of one chain, with shifts in
+closed form (``_shifts``), and the edges they leave form one more
+outerplanar part. Every construction here is built directly, with no search.
 
 A double cycle embeds with every black on both of two big faces (inside and
 outside the chain), so every white sees every black across one of them; that
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .certify import UncrossedCertificate
-from .embedding import PlaneDrawing, is_planar_graph, outerplanar_extension
+from .embedding import PlaneDrawing, outerplanar_extension
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .embedding import is_outerplanar  # noqa: F401
 from .errors import DecompositionNotFound, FormatError, NotOuterplanarError
@@ -322,15 +325,14 @@ def embed_double_cycle(c: DoubleCycle, host: Graph | None = None) -> PlaneDrawin
 # --- outerplanar covers for the dense bipartite range ----------------------
 
 
-def _chain_edges(m: int, n: int, layout, rot_off: int, start: int):
+def _chain_edges(m: int, n: int, layout, rot_off: int, start: int) -> frozenset:
     """Open generalized-ladder chain: black at position p is (p + rot_off) % m
-    and joins its white block; None when a block wraps onto itself."""
-    edges = frozenset(
+    and joins its white block (no block here holds more than n whites)."""
+    return frozenset(
         ((p + rot_off) % m, w)
         for p, block in enumerate(_white_blocks(m, n, layout, start))
         for w in block
     )
-    return edges if len(edges) == sum(layout) else None
 
 
 def _draw(host: Graph, part) -> PlaneDrawing | None:
@@ -341,13 +343,20 @@ def _draw(host: Graph, part) -> PlaneDrawing | None:
         return None
 
 
-def _search_layouts(m: int, n: int) -> list:
-    """Block sizes of the chains that the n in {m, m+1} search rotates."""
-    if n == m:
-        return [(2,) + (3,) * (m - 2) + (2,)]
-    return [(3,) * (m - 1) + (2,), (2,) + (3,) * (m - 1)] + [
-        (2,) + (3,) * j + (4,) + (3,) * (m - 3 - j) + (2,) for j in range(m - 2)
-    ]
+# the sizes below m = 10 whose shift is neither rule's; all have beta = 0
+_SMALL_SIGMAS = {(5, 6): 1, (6, 6): 1, (6, 7): 2, (7, 7): 2, (8, 9): 2, (9, 9): 2}
+
+
+def _shifts(m: int, n: int) -> tuple:
+    """(beta, sigma) of the n in {m, m+1} cover: chain t moves the base
+    chain's blacks on by beta*t and its whites by sigma*t."""
+    if (m, n) in _SMALL_SIGMAS:
+        return 0, _SMALL_SIGMAS[m, n]
+    if n == m and m % 6 == 2:
+        return 1, m - 2
+    if n == m and m % 6 == 5:
+        return 0, (m - 3) // 2
+    return 0, 3
 
 
 def outerplanar_cover(m: int, n: int) -> list:
@@ -356,58 +365,44 @@ def outerplanar_cover(m: int, n: int) -> list:
     Requires 3 <= m <= n <= 2m-2. Returns (part, drawing) pairs, where the
     drawing is ``outerplanar_extension`` of the part in one K_{m,n}: drawing
     a part is its outerplanarity test, so no part is embedded twice. For
-    n >= m+2 the rotating floor-degree chains provably cover; for n in
-    {m, m+1} a small deterministic parameter search finds rotated chains
-    whose complement is itself outerplanar. A complement with more than
-    2m + n - 2 edges, the outerplanar maximum of K_{m,n}, is skipped
-    undrawn. DecompositionNotFound reports a miss.
+    n >= m+2 the parts are the rotating floor-degree chains, which provably
+    cover. For n in {m, m+1} they are l-1 shifted copies of one chain, with
+    blocks (2, 3, ..., 3, 2) at n = m and (3, ..., 3, 2) at n = m+1, and then
+    the rest of the edges, where l = ceil(mn / (2m+n-2)): chain t shifts the
+    blacks by beta*t and the whites by sigma*t, with (beta, sigma) from
+    ``_shifts``. These are the parts that a search over chain layouts,
+    beta and sigma finds first: they were checked against that search for
+    every m <= 130, and the cover was checked to draw for every size that
+    ``construct`` accepts (m <= 1000). There is no search: a part that does
+    not draw, an empty rest or an uncovered edge raises
+    DecompositionNotFound, so a wrong cover cannot come out.
     """
     if not (3 <= m <= n <= 2 * m - 2):
         raise ValueError("need 3 <= m <= n <= 2m-2")
     host = complete_bipartite(m, n)
     total = 2 * m + n - 2
     if n >= m + 2:
-        pairs = []
-        for t, (layout, s) in enumerate(_rotating_layouts(m, n, total)):
-            part = _chain_edges(m, n, layout, 0, s)
-            drawing = None if part is None else _draw(host, part)
-            if drawing is None:
-                raise DecompositionNotFound(
-                    f"decomposition not found for K_{{{m},{n}}}: chain {t} failed"
-                )
-            pairs.append((part, drawing))
-        if uncovered_edges(host, (part for part, _ in pairs)):
+        parts = [_chain_edges(m, n, layout, 0, s)
+                 for layout, s in _rotating_layouts(m, n, total)]
+    else:
+        layout = (2,) + (3,) * (m - 2) + (2,) if n == m else (3,) * (m - 1) + (2,)
+        beta, sigma = _shifts(m, n)
+        parts = [_chain_edges(m, n, layout, beta * t % m, sigma * t % n)
+                 for t in range(ceil(m * n / total) - 1)]
+        parts.append(host.edges.difference(*parts))
+    pairs = []
+    for t, part in enumerate(parts):
+        drawing = _draw(host, part) if part else None
+        if drawing is None:
             raise DecompositionNotFound(
-                f"decomposition not found for K_{{{m},{n}}}: coverage miss"
+                f"decomposition not found for K_{{{m},{n}}}: part {t} failed"
             )
-        return pairs
-    # n in {m, m+1}: rotated chains plus an outerplanar complement. Each
-    # chain relabels the layout's base chain (blacks by beta*t, whites by
-    # sigma*t), so drawing the base chain answers for all of them.
-    ell = ceil(m * n / total)
-    for layout in _search_layouts(m, n):
-        first = _chain_edges(m, n, layout, 0, 0)
-        first_drawing = _draw(host, first)
-        if first_drawing is None:
-            continue
-        for beta in range(m):
-            for sigma in range(n):
-                chains = [
-                    _chain_edges(m, n, layout, (beta * t) % m, (sigma * t) % n)
-                    for t in range(1, ell - 1)
-                ]
-                rest = host.edges.difference(first, *chains)
-                if not rest or len(rest) > total:
-                    continue
-                rest_drawing = _draw(host, rest)
-                if rest_drawing is None:
-                    continue
-                return (
-                    [(first, first_drawing)]
-                    + [(c, outerplanar_extension(host, c)) for c in chains]
-                    + [(rest, rest_drawing)]
-                )
-    raise DecompositionNotFound(f"decomposition not found for K_{{{m},{n}}}")
+        pairs.append((part, drawing))
+    if uncovered_edges(host, parts):
+        raise DecompositionNotFound(
+            f"decomposition not found for K_{{{m},{n}}}: coverage miss"
+        )
+    return pairs
 
 
 def collection_from_outerplanar_decomposition(g: Graph, parts) -> UncrossedCertificate:
@@ -430,9 +425,9 @@ def collection_from_outerplanar_decomposition(g: Graph, parts) -> UncrossedCerti
 def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
     """Optimal uncrossed collection for K_{m,n}, sized by the closed form.
 
-    Dispatches on the regime: a single planar drawing when min(m,n) <= 2,
-    outerplanar ladder covers up to n = 2m-2, deficient double cycles at
-    n = 2m-1, and block double cycles from n = 2m on.
+    Dispatches on the regime: a single planar drawing, drawn directly, when
+    min(m,n) <= 2, outerplanar ladder covers up to n = 2m-2, deficient double
+    cycles at n = 2m-1, and block double cycles from n = 2m on.
     """
     if m < 1 or n < 1:
         raise ValueError("both part sizes must be at least 1")
@@ -443,9 +438,11 @@ def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
         return UncrossedCertificate(drawings[0].host, drawings)
     host = complete_bipartite(m, n)
     if m <= 2:
-        ok, d = is_planar_graph(host)
-        assert ok and d is not None
-        return UncrossedCertificate(host, (d,))
+        # a star, or two hubs: black 1 meets the whites in the reverse of
+        # black 0's order, so each face is a 4-cycle through two whites
+        whites = tuple(range(m, m + n))
+        rotation = (whites, whites[::-1])[:m] + ((0, 1)[:m],) * n
+        return UncrossedCertificate(host, (PlaneDrawing(host, host.edges, rotation),))
     cover = double_cycle_cover_for(m, n)
     drawings = tuple(embed_double_cycle(c, host) for c in cover.cycles)
     return UncrossedCertificate(host, drawings)

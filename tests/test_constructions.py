@@ -203,11 +203,55 @@ def test_outerplanar_collections_pinned():
     )
 
 
-def test_search_skips_only_rests_that_are_not_outerplanar():
-    # the search skips a rest above 2m + n - 2 edges undrawn; every such
-    # rest of every (layout, beta, sigma) up to m = 8 is indeed rejected
+def _search_layouts(m, n):
+    """Block sizes of the chains that the reference search rotates."""
+    if n == m:
+        return [(2,) + (3,) * (m - 2) + (2,)]
+    return [(3,) * (m - 1) + (2,), (2,) + (3,) * (m - 1)] + [
+        (2,) + (3,) * j + (4,) + (3,) * (m - 3 - j) + (2,) for j in range(m - 2)
+    ]
+
+
+def _search_cover(m, n):
+    """Parts of the first cover that the plain search over layouts, then
+    beta, then sigma finds for n in {m, m+1}: l-1 chains, chain t shifted by
+    (beta*t, sigma*t), plus an outerplanar rest. A rest above 2m + n - 2
+    edges, the outerplanar maximum, is skipped untested."""
     from uncrossed import is_outerplanar
-    from uncrossed.constructions import _chain_edges, _search_layouts
+    from uncrossed.constructions import _chain_edges
+    from uncrossed.graph import Graph
+
+    total = 2 * m + n - 2
+    ell = -(-m * n // total)
+    full = complete_bipartite(m, n).edges
+    for layout in _search_layouts(m, n):
+        if not is_outerplanar(Graph(m + n, _chain_edges(m, n, layout, 0, 0)))[0]:
+            continue
+        for beta in range(m):
+            for sigma in range(n):
+                chains = [_chain_edges(m, n, layout, (beta * t) % m, (sigma * t) % n)
+                          for t in range(ell - 1)]
+                rest = full.difference(*chains)
+                if rest and len(rest) <= total and is_outerplanar(Graph(m + n, rest))[0]:
+                    return chains + [rest]
+    return None
+
+
+def test_outerplanar_cover_is_the_search_first_hit():
+    # the closed-form shifts give, part for part, the cover that the
+    # search over layouts x beta x sigma finds first
+    for m in range(3, 41):
+        for n in (m, m + 1):
+            parts = [part for part, _ in outerplanar_cover(m, n)]
+            assert parts == _search_cover(m, n), (m, n)
+
+
+def test_search_skips_only_rests_that_are_not_outerplanar():
+    # the reference search skips a rest above 2m + n - 2 edges untested;
+    # every such rest of every (layout, beta, sigma) up to m = 8 is indeed
+    # rejected
+    from uncrossed import is_outerplanar
+    from uncrossed.constructions import _chain_edges
     from uncrossed.graph import Graph
 
     skipped = 0
@@ -295,11 +339,14 @@ def test_bipartite_collection_planar_regime():
         cert = bipartite_uncrossed_collection(m, n)
         assert cert.size == 1
         assert verify_certificate(cert).ok, (m, n)
+    (d,) = bipartite_uncrossed_collection(2, 4).drawings
+    assert d.rotation == ((2, 3, 4, 5), (5, 4, 3, 2)) + ((0, 1),) * 4
+    assert len(d.faces) == 4
 
 
 def test_bipartite_collection_sampled():
     cases = [(3, 3), (3, 5), (3, 6), (4, 4), (4, 7), (4, 8), (5, 7), (5, 9), (6, 6), (6, 20)]
-    # the dense search regime n in {m, m + 1}, where outerplanar_cover does the work
+    # the dense regime n in {m, m + 1}, where outerplanar_cover does the work
     cases += [(m, n) for m in range(7, 17) for n in (m, m + 1)]
     for m, n in cases:
         cert = bipartite_uncrossed_collection(m, n)
@@ -363,14 +410,15 @@ def test_block_cycles_read_back_their_start_and_degrees():
 
 def test_double_cycle_collections_pinned():
     # sha256 over the certificates outside the outerplanar regime for
-    # 1 <= m <= 12, m <= n <= 3m + 2: one planar drawing for m <= 2, double
-    # cycles for n >= 2m - 1
+    # 1 <= m <= 12, m <= n <= 3m + 2: one planar drawing for m <= 2 (black 0
+    # meets the whites in order, black 1 in reverse), double cycles for
+    # n >= 2m - 1
     h = hashlib.sha256()
     for m in range(1, 13):
         for n in range(m if m <= 2 else 2 * m - 1, 3 * m + 3):
             h.update(serialize_certificate(bipartite_uncrossed_collection(m, n)).encode())
     assert h.hexdigest() == (
-        "9e8bc0002bdb57058f2ad9f63145d45a985c520c034579de83427a724ba12041"
+        "a5a11c68a0de68fd66b2d5372a964fce2c9ab66c451076a0f32f5ddd563e2067"
     )
 
 
