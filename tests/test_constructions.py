@@ -37,6 +37,7 @@ from uncrossed import (
     verify_drawing,
     wheel_drawing,
 )
+from uncrossed.certify import serialize_drawing
 from uncrossed.constructions import (
     _block_cycle,
     collection_from_outerplanar_decomposition,
@@ -75,6 +76,18 @@ def test_ladder_with_leaves_edges_and_outerplanarity():
         assert outer is not None and outer.vertices == frozenset(range(m + n))
         if m + n <= 8:
             assert H.outerplanar_bruteforce(m + n, sorted(d.drawn))
+
+
+def test_ladder_drawings_pinned():
+    # sha256 over the ladder drawings of 1 <= m <= 12, m <= n <= 3m + 2:
+    # rotations and outer darts must stay byte-identical
+    h = hashlib.sha256()
+    for m in range(1, 13):
+        for n in range(m, 3 * m + 3):
+            h.update(serialize_drawing(ladder_with_leaves(m, n)).encode())
+    assert h.hexdigest() == (
+        "729b632cfd4afc464b906ad9f9412a887b969bbe9d41491672d932324a6a476e"
+    )
 
 
 def test_double_cycle_validation():
