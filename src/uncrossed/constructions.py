@@ -81,20 +81,15 @@ def ladder_with_leaves(m: int, n: int) -> PlaneDrawing:
 
     A ladder of m rungs (black i to white i) with both rails, plus n - m leaf
     whites spread round-robin over the blacks: 2m + n - 2 edges, which is the
-    outerplanar maximum. Requires 1 <= m <= n.
+    outerplanar maximum. That is h(K_{m,n}) only when m = n or m = 1; other
+    sizes have admissible drawings with more edges. Requires 1 <= m <= n.
     """
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
-    host = complete_bipartite(m, n)
-    edges = set()
-    for i in range(m):
-        edges.add((i, m + i))
-    for i in range(m - 1):
-        edges.add((i, m + i + 1))
-        edges.add((i + 1, m + i))
-    for j in range(m, n):
-        edges.add(((j - m) % m, m + j))
-    return outerplanar_extension(host, edges)
+    # the ladder is the base chain of the n = m cover
+    ladder = _chain_edges(m, n, (2,) + (3,) * (m - 2) + (2,), 0, 0)
+    leaves = {((j - m) % m, m + j) for j in range(m, n)}
+    return outerplanar_extension(complete_bipartite(m, n), ladder | leaves)
 
 
 # --- double cycles ---------------------------------------------------------
@@ -147,20 +142,17 @@ class DoubleCycle:
     def k(self) -> int:
         return len(self.black_cycle)
 
+    def block(self, p: int) -> tuple:
+        """The whites of the black at position p in white-block order: the
+        pair of the cycle edge before it, its leaves, the pair after it."""
+        return (*self.quad_whites[p - 1], *self.leaves[p], *self.quad_whites[p])
+
     def degree_at(self, p: int) -> int:
-        prev = self.quad_whites[(p - 1) % self.k]
-        return len(prev) + len(self.quad_whites[p]) + len(self.leaves[p])
+        return len(self.block(p))
 
     def edges(self) -> frozenset:
-        out = set()
-        for p in range(self.k):
-            b, b2 = self.black_cycle[p], self.black_cycle[(p + 1) % self.k]
-            for w in self.quad_whites[p]:
-                out.add(normalize_edge(b, w))
-                out.add(normalize_edge(b2, w))
-            for w in self.leaves[p]:
-                out.add(normalize_edge(b, w))
-        return frozenset(out)
+        # blacks are below m and whites from m on: every pair is normalized
+        return frozenset((b, w) for p, b in enumerate(self.black_cycle) for w in self.block(p))
 
 
 @dataclass(frozen=True)
@@ -290,35 +282,17 @@ def embed_double_cycle(c: DoubleCycle, host: Graph | None = None) -> PlaneDrawin
         raise ValueError("embedding needs the cycle to use every white")
     if host is None:
         host = complete_bipartite(c.m, c.n)
-    k = c.k
-    rot: dict[int, list] = {}
-    for p in range(k):
-        b = c.black_cycle[p]
-        prev = (p - 1) % k
-        x_p = c.quad_whites[p][0]
-        y_p = c.quad_whites[p][1] if len(c.quad_whites[p]) > 1 else None
-        x_prev = c.quad_whites[prev][0]
-        y_prev = c.quad_whites[prev][1] if len(c.quad_whites[prev]) > 1 else None
-        order = [x_p] + list(c.leaves[p])
-        order.append(x_prev)
-        if y_prev is not None:
-            order.append(y_prev)
-        if y_p is not None:
-            order.append(y_p)
-        rot[b] = order
-    for p in range(k):
-        b, b2 = c.black_cycle[p], c.black_cycle[(p + 1) % k]
-        rot[c.quad_whites[p][0]] = [b, b2]
-        if len(c.quad_whites[p]) > 1:
-            rot[c.quad_whites[p][1]] = [b2, b]
-        for w in c.leaves[p]:
-            rot[w] = [b]
-    rotation = tuple(tuple(rot.get(v, ())) for v in range(host.n))
+    rotation: list = [()] * host.n
     outer = None
-    for p in range(k):
-        if len(c.quad_whites[p]) > 1:
-            outer = (c.black_cycle[p], c.quad_whites[p][1])
-            break
+    for p, (b, quad) in enumerate(zip(c.black_cycle, c.quad_whites)):
+        b2 = c.black_cycle[(p + 1) % c.k]
+        rotation[b] = (quad[0], *c.leaves[p], *c.quad_whites[p - 1], *quad[1:])
+        rotation[quad[0]] = (b, b2)
+        if len(quad) > 1:
+            rotation[quad[1]] = (b2, b)
+            outer = outer or (b, quad[1])
+        for w in c.leaves[p]:
+            rotation[w] = (b,)
     return PlaneDrawing(host, c.edges(), rotation, outer_dart=outer)
 
 

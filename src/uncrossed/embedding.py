@@ -201,9 +201,6 @@ class PlaneDrawing:
         """The host edges not drawn, in sorted order."""
         return tuple(e for e in self.host.sorted_edges if e not in self.drawn)
 
-    def rotation_map(self) -> dict:
-        return {v: self.rotation[v] for v in range(self.host.n)}
-
     def structural_errors(self) -> list[str]:
         """Shape problems that make face tracing meaningless."""
         errs = []
@@ -232,12 +229,12 @@ class PlaneDrawing:
 
     @cached_property
     def faces(self) -> tuple:
-        return tuple(trace_rotation(self.rotation_map()))
+        return tuple(trace_rotation(dict(enumerate(self.rotation))))
 
     @cached_property
     def _face_data(self) -> tuple:
         # only the count and the masks are kept, not the dart slots
-        tails, _, succ = _dart_slots(self.rotation_map())
+        tails, _, succ = _dart_slots(dict(enumerate(self.rotation)))
         count, masks = _face_masks(succ, tails, self.host.n)
         return count, tuple(masks)
 

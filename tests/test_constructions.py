@@ -40,6 +40,8 @@ from uncrossed import (
 from uncrossed.certify import serialize_drawing
 from uncrossed.constructions import (
     _block_cycle,
+    _rotating_layouts,
+    _white_blocks,
     collection_from_outerplanar_decomposition,
     double_cycle_cover_for,
 )
@@ -120,6 +122,24 @@ def test_double_cycle_cover_nine_twentyfour_degree_pattern():
     first = c.cycles[0]
     assert tuple(first.degree_at(b) for b in first.black_cycle) == (4, 5, 5, 4, 5, 5, 4, 5, 5)
     assert len(c.cycles) == 6
+
+
+def test_double_cycle_blocks_are_the_white_blocks():
+    # a block cycle's block(p) is black p's block of the white-block rule at
+    # that cycle's layout and start; the blocks of a cycle share out 2m + n
+    # edges, or 2m + n - 1 with the one deficient edge of the minus-one scheme
+    for m in range(3, 13):
+        for n in range(2 * m - 1, 3 * m + 5):
+            cover = double_cycle_cover_for(m, n)
+            total = 2 * m + n - (cover.kind == "minus-one")
+            for cyc in cover.cycles:
+                assert sum(len(cyc.block(p)) for p in range(cyc.k)) == total, (m, n)
+            if cover.kind == "block":
+                layouts = _rotating_layouts(m, n, 2 * m + n)
+                assert len(layouts) == len(cover.cycles)
+                for cyc, (layout, start) in zip(cover.cycles, layouts):
+                    blocks = _white_blocks(m, n, layout, start)
+                    assert [cyc.block(p) for p in range(m)] == list(map(tuple, blocks)), (m, n)
 
 
 def test_double_cycle_cover_rejects_small_n():
