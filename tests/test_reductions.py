@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -11,12 +12,16 @@ from uncrossed import (
     complete_bipartite,
     complete_graph,
     ecr_forward_witness,
+    is_outerplanar,
     reduce_mos_to_ecr,
     reduce_ot_to_unc,
+    serialize_certificate,
     unc_forward_witness,
     verify_certificate,
     verify_drawing,
 )
+from uncrossed.certify import serialize_drawing
+from uncrossed.graph import connected_components
 from uncrossed.reductions import max_outerplanar_subgraph_exact, validate_reduction_small
 
 TRIANGLE = Graph(3, [(0, 1), (0, 2), (1, 2)])
@@ -190,3 +195,43 @@ def test_validate_reduction_small_k4_single_k():
     assert val.ok
     with pytest.raises(ValueError):
         validate_reduction_small(complete_graph(4), k=6)
+
+
+def _split_sources():
+    """Seeded sources with a cover by two outerplanar parts: random graphs
+    split at a seeded index of their sorted edges, then a path split into
+    its two matchings."""
+    rng = random.Random(53)
+    out = []
+    while len(out) < 30:
+        n, edges = H.random_graph(rng, rng.randint(6, 16), rng.uniform(0.1, 0.3))
+        g = Graph(n, edges)
+        if g.m < 2:
+            continue
+        i = rng.randint(1, g.m - 1)
+        parts = [g.sorted_edges[:i], g.sorted_edges[i:]]
+        if all(is_outerplanar(Graph(n, p))[0] for p in parts):
+            out.append((g, parts))
+    path = Graph(40, [(v, v + 1) for v in range(39)])
+    out.append((path, [path.sorted_edges[0::2], path.sorted_edges[1::2]]))
+    return out
+
+
+def test_forward_witnesses_pinned():
+    # sha256 over the unc witness certificates and the ecr witness drawings
+    # of the sources above, many of whose parts have several components:
+    # the builder may place components faster, but not differently
+    h = hashlib.sha256()
+    several = 0
+    for g, parts in _split_sources():
+        several += sum(
+            sum(len(c) > 1 for c in connected_components(g.n, p)) > 1 for p in parts
+        )
+        cert = unc_forward_witness(reduce_ot_to_unc(g, 2), parts)
+        h.update(serialize_certificate(cert).encode())
+        inst = reduce_mos_to_ecr(g, len(parts[0]))
+        h.update(serialize_drawing(ecr_forward_witness(inst, parts[0])).encode())
+    assert several >= 20
+    assert h.hexdigest() == (
+        "6169fd24af4e181285f777767f19b23a250b3de1650885abaa4086fda35ce907"
+    )
