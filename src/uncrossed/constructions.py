@@ -15,6 +15,9 @@ the blocks share out, 2m + n - 2 for chains and 2m + n for cycles. At
 n in {m, m+1} the chains are shifted copies of one chain, with shifts in
 closed form (``_shifts``), and the edges they leave form one more
 outerplanar part. Every construction here is built directly, with no search.
+The chain covers are edge parts only: like any outerplanar decomposition,
+they are drawn by ``collection_from_outerplanar_decomposition``, each part
+with every vertex on one face.
 
 A double cycle embeds with every black on both of two big faces (inside and
 outside the chain), so every white sees every black across one of them; that
@@ -31,9 +34,9 @@ from .certify import UncrossedCertificate
 from .embedding import PlaneDrawing, outerplanar_extension
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .embedding import is_outerplanar  # noqa: F401
-from .errors import DecompositionNotFound, FormatError, NotOuterplanarError
-from .graph import (Graph, LineReader, complete_bipartite, complete_graph, normalize_edge,
-                    uncovered_edges)
+from .errors import FormatError
+from .graph import (Graph, LineReader, _edge_set, complete_bipartite, complete_graph,
+                    normalize_edge, uncovered_edges)
 
 
 # --- wheels ----------------------------------------------------------------
@@ -174,12 +177,6 @@ class DoubleCycleCover:
         if self.kind not in ("block", "minus-one"):
             raise ValueError(f"unknown cover kind {self.kind!r}")
 
-    def union_edges(self) -> frozenset:
-        out: set = set()
-        for c in self.cycles:
-            out |= c.edges()
-        return frozenset(out)
-
     def validate(self):
         """Recheck that the cycles really cover all of K_{m,n}."""
         missing = uncovered_edges(complete_bipartite(self.m, self.n),
@@ -309,14 +306,6 @@ def _chain_edges(m: int, n: int, layout, rot_off: int, start: int) -> frozenset:
     )
 
 
-def _draw(host: Graph, part) -> PlaneDrawing | None:
-    """The part drawn by outerplanar_extension, or None when not outerplanar."""
-    try:
-        return outerplanar_extension(host, part)
-    except NotOuterplanarError:
-        return None
-
-
 # the sizes below m = 10 whose shift is neither rule's; all have beta = 0
 _SMALL_SIGMAS = {(5, 6): 1, (6, 6): 1, (6, 7): 2, (7, 7): 2, (8, 9): 2, (9, 9): 2}
 
@@ -334,49 +323,35 @@ def _shifts(m: int, n: int) -> tuple:
 
 
 def outerplanar_cover(m: int, n: int) -> list:
-    """Cover E(K_{m,n}) by ceil(mn / (2m+n-2)) outerplanar parts, each drawn.
+    """Cover E(K_{m,n}) by ceil(mn / (2m+n-2)) outerplanar parts.
 
-    Requires 3 <= m <= n <= 2m-2. Returns (part, drawing) pairs, where the
-    drawing is ``outerplanar_extension`` of the part in one K_{m,n}: drawing
-    a part is its outerplanarity test, so no part is embedded twice. For
-    n >= m+2 the parts are the rotating floor-degree chains, which provably
-    cover. For n in {m, m+1} they are l-1 shifted copies of one chain, with
+    Requires 3 <= m <= n <= 2m-2. Returns the parts, each a frozenset of
+    normalized edges; ``bipartite_uncrossed_collection`` draws them through
+    ``collection_from_outerplanar_decomposition``, where drawing a part is
+    its outerplanarity test. For n >= m+2 the parts are the rotating
+    floor-degree chains, which provably cover. For n in {m, m+1} they are
+    l-1 shifted copies of one chain, with
     blocks (2, 3, ..., 3, 2) at n = m and (3, ..., 3, 2) at n = m+1, and then
     the rest of the edges, where l = ceil(mn / (2m+n-2)): chain t shifts the
     blacks by beta*t and the whites by sigma*t, with (beta, sigma) from
     ``_shifts``. These are the parts that a search over chain layouts,
     beta and sigma finds first: they were checked against that search for
     every m <= 130, and the cover was checked to draw for every size that
-    ``construct`` accepts (m <= 1000). There is no search: a part that does
-    not draw, an empty rest or an uncovered edge raises
-    DecompositionNotFound, so a wrong cover cannot come out.
+    ``construct`` accepts (m <= 1000). There is no search: the rest is never
+    empty, since l-1 chains hold fewer than mn edges, and drawing the parts
+    checks that they cover and that each one draws, so a wrong cover cannot
+    come out.
     """
     if not (3 <= m <= n <= 2 * m - 2):
         raise ValueError("need 3 <= m <= n <= 2m-2")
-    host = complete_bipartite(m, n)
     total = 2 * m + n - 2
     if n >= m + 2:
-        parts = [_chain_edges(m, n, layout, 0, s)
-                 for layout, s in _rotating_layouts(m, n, total)]
-    else:
-        layout = (2,) + (3,) * (m - 2) + (2,) if n == m else (3,) * (m - 1) + (2,)
-        beta, sigma = _shifts(m, n)
-        parts = [_chain_edges(m, n, layout, beta * t % m, sigma * t % n)
-                 for t in range(ceil(m * n / total) - 1)]
-        parts.append(host.edges.difference(*parts))
-    pairs = []
-    for t, part in enumerate(parts):
-        drawing = _draw(host, part) if part else None
-        if drawing is None:
-            raise DecompositionNotFound(
-                f"decomposition not found for K_{{{m},{n}}}: part {t} failed"
-            )
-        pairs.append((part, drawing))
-    if uncovered_edges(host, parts):
-        raise DecompositionNotFound(
-            f"decomposition not found for K_{{{m},{n}}}: coverage miss"
-        )
-    return pairs
+        return [_chain_edges(m, n, layout, 0, s) for layout, s in _rotating_layouts(m, n, total)]
+    layout = (2,) + (3,) * (m - 2) + (2,) if n == m else (3,) * (m - 1) + (2,)
+    beta, sigma = _shifts(m, n)
+    parts = [_chain_edges(m, n, layout, beta * t % m, sigma * t % n)
+             for t in range(ceil(m * n / total) - 1)]
+    return parts + [complete_bipartite(m, n).edges.difference(*parts)]
 
 
 def collection_from_outerplanar_decomposition(g: Graph, parts) -> UncrossedCertificate:
@@ -385,15 +360,17 @@ def collection_from_outerplanar_decomposition(g: Graph, parts) -> UncrossedCerti
     Each part is drawn with every vertex of g on one shared face (components
     embedded outerplanarly, then bridged through that face), which makes every
     drawing admissible regardless of what it leaves undrawn. Requires g
-    connected and the parts to cover all edges; ``outerplanar_extension``
-    refuses a part edge that is not a host edge.
+    connected and the parts to cover all edges, which is checked before
+    anything is drawn; ``outerplanar_extension`` refuses a part edge that is
+    not a host edge, and raises NotOuterplanarError for a part that does not
+    draw. Parts that are normalized frozensets, as ``outerplanar_cover``
+    returns, are drawn as they are, not copied.
     """
-    part_sets = [frozenset(normalize_edge(u, v) for u, v in p) for p in parts]
+    part_sets = [_edge_set(p) for p in parts]
     missing = uncovered_edges(g, part_sets)
     if missing:
         raise ValueError(f"parts miss {len(missing)} host edges")
-    drawings = tuple(outerplanar_extension(g, p) for p in part_sets)
-    return UncrossedCertificate(g, drawings)
+    return UncrossedCertificate(g, tuple(outerplanar_extension(g, p) for p in part_sets))
 
 
 def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
@@ -408,8 +385,9 @@ def bipartite_uncrossed_collection(m: int, n: int) -> UncrossedCertificate:
     if m > n:
         m, n = n, m
     if 3 <= m and n <= 2 * m - 2:
-        drawings = tuple(d for _, d in outerplanar_cover(m, n))
-        return UncrossedCertificate(drawings[0].host, drawings)
+        # the cover's own K_{m,n}, if it built one, is gone before this one
+        parts = outerplanar_cover(m, n)
+        return collection_from_outerplanar_decomposition(complete_bipartite(m, n), parts)
     host = complete_bipartite(m, n)
     if m <= 2:
         # a star, or two hubs: black 1 meets the whites in the reverse of

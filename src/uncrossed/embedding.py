@@ -43,6 +43,7 @@ import networkx as nx
 from .errors import MalformedRotationError, NotOuterplanarError
 from .graph import (
     Graph,
+    _edge_set,
     _find,
     connected_components,
     edges_connected,
@@ -184,12 +185,7 @@ class PlaneDrawing:
     outer_dart: tuple | None = None
 
     def __post_init__(self):
-        # builders and the parser pass a normalized frozenset: keep it after
-        # one check; anything else is normalized pair by pair
-        if not (isinstance(self.drawn, frozenset) and all(u < v for u, v in self.drawn)):
-            object.__setattr__(
-                self, "drawn", frozenset(normalize_edge(u, v) for u, v in self.drawn)
-            )
+        object.__setattr__(self, "drawn", _edge_set(self.drawn))
         object.__setattr__(self, "rotation", tuple(tuple(r) for r in self.rotation))
         if len(self.rotation) != self.host.n:
             raise ValueError(
@@ -415,11 +411,13 @@ def _block_cycle(block: list) -> list:
     return order
 
 
-def _embed_component_outerplanar(vertices: list, edges: list) -> tuple:
-    """Embed one connected edge set with all its vertices on a single face.
+def _embed_component_outerplanar(vertices: list, adj) -> tuple:
+    """Embed one component of an edge set with all its vertices on a single face.
 
-    ``vertices`` is sorted and has at least two members. Returns (rotation
-    dict, outer walk darts). Raises NotOuterplanarError when impossible.
+    ``vertices`` is the component, sorted, with at least two members, and
+    ``adj[v]`` lists v's neighbours in the whole edge set in sorted order:
+    the components of one edge set share it. Returns (rotation dict, outer
+    walk darts). Raises NotOuterplanarError when impossible.
     Each biconnected block is laid out on the cyclic order of its outer
     cycle (``_block_cycle``); a vertex's rotation in a block is its block
     neighbours sorted by cyclic offset from it, so the block's outer corner
@@ -429,10 +427,6 @@ def _embed_component_outerplanar(vertices: list, edges: list) -> tuple:
     from the first dart of the lowest vertex; it is the face that tracing
     every face would find first among those through every vertex.
     """
-    adj: dict = {v: [] for v in vertices}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
     fans: dict = {v: [] for v in vertices}
     for block in _blocks(vertices[0], adj):
         order = _block_cycle(block)
@@ -524,9 +518,8 @@ class OuterBuilder:
             if v in self.rotation:
                 raise ValueError(f"vertex {v} already placed")
             self.rotation[v] = list(rotation[v])
-            self._parent[v] = v
-        for v in verts[1:]:
-            self._union(verts[0], v)
+        # one tree rooted at the lowest vertex, as _union would leave it
+        self._parent.update(dict.fromkeys(verts, verts[0]))
         for a, b in outer_walk:
             self.outer[(a, b)] = None
             self.anchor.setdefault(b, a)
@@ -535,17 +528,21 @@ class OuterBuilder:
         """Place an outerplanar edge set over vertices 0..n-1.
 
         Each component is embedded with all its vertices on the shared region
-        and isolated vertices are placed in it. Raises NotOuterplanarError
-        when a component is not outerplanar.
+        and isolated vertices are placed in it; the components read one sorted
+        adjacency of the whole edge set. Raises NotOuterplanarError when a
+        component is not outerplanar.
         """
+        adj: list = [[] for _ in range(n)]
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        for nbrs in adj:
+            nbrs.sort()
         for comp in connected_components(n, edges):
             if len(comp) == 1:
                 self.add_vertex(comp[0])
-                continue
-            comp_set = set(comp)
-            sub = sorted(e for e in edges if e[0] in comp_set)
-            rotation, outer_walk = _embed_component_outerplanar(comp, sub)
-            self.add_component(rotation, outer_walk)
+            else:
+                self.add_component(*_embed_component_outerplanar(comp, adj))
 
     def components(self) -> list[list[int]]:
         groups: dict[int, list[int]] = {}
@@ -554,13 +551,14 @@ class OuterBuilder:
         return [sorted(groups[r]) for r in sorted(groups)]
 
     def _insert_after_anchor(self, v: int, w: int):
-        """Insert neighbor w into the rotation of v at an outer corner."""
+        """Insert neighbor w into the rotation of v at an outer corner. The
+        anchor is last when bridges at v come one after another, as from a
+        reduction's center: then w is appended without a search."""
         order = self.rotation[v]
-        if not order:
+        if not order or order[-1] == self.anchor[v]:
             order.append(w)
-            return
-        a = self.anchor[v]
-        order.insert(order.index(a) + 1, w)
+        else:
+            order.insert(order.index(self.anchor[v]) + 1, w)
 
     def add_bridge(self, u: int, v: int):
         """Draw edge {u, v} through the outer region, merging two components."""
@@ -633,7 +631,7 @@ def outerplanar_extension(host: Graph, edges) -> PlaneDrawing:
     Requires host to be connected. Raises NotOuterplanarError when the subset
     is not outerplanar.
     """
-    edge_set = frozenset(normalize_edge(u, v) for u, v in edges)
+    edge_set = _edge_set(edges)
     for e in edge_set:
         if e not in host.edges:
             raise ValueError(f"edge {e} is not a host edge")

@@ -127,6 +127,14 @@ def complete_bipartite(m: int, n: int) -> Graph:
     return Graph._trusted(m + n, edges, black_count=m)
 
 
+def _edge_set(edges) -> frozenset:
+    """``edges`` as a frozenset of normalized pairs. Builders pass such a
+    frozenset already: it is kept after one check, not copied."""
+    if isinstance(edges, frozenset) and all(u < v for u, v in edges):
+        return edges
+    return frozenset(normalize_edge(u, v) for u, v in edges)
+
+
 def uncovered_edges(g: Graph, parts) -> tuple:
     """The edges of g, in sorted order, that no part (an edge set) holds."""
     covered = frozenset().union(*parts)

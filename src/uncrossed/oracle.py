@@ -283,7 +283,7 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     if host.m > cap:
         raise OracleCapError(
             f"host has {host.m} edges, above the cap of {cap}; "
-            f"an exhaustive run would sweep {2 ** host.m} edge subsets",
+            f"an exhaustive run would sweep 2^{host.m} edge subsets",
             host.m,
             cap,
         )

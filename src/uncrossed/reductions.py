@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .certify import UncrossedCertificate, verify_drawing
 from .embedding import OuterBuilder, PlaneDrawing, is_outerplanar
 from .errors import NotOuterplanarError, OracleCapError
-from .graph import Graph, normalize_edge, uncovered_edges
+from .graph import Graph, _edge_set, normalize_edge, uncovered_edges
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .graph import connected_components  # noqa: F401
 
@@ -116,14 +116,14 @@ def ecr_forward_witness(inst: ReductionInstance, h_edges) -> PlaneDrawing:
     if inst.kind != "ecr":
         raise ValueError("instance is not of the ecr kind")
     g = inst.source
-    h = frozenset(normalize_edge(u, v) for u, v in h_edges)
+    h = _edge_set(h_edges)
     if not h <= g.edges:
         raise ValueError("witness edges must be source edges")
     if len(h) < inst.k:
         raise ValueError(f"witness has {len(h)} edges, below k = {inst.k}")
     builder = OuterBuilder()
     try:
-        builder.add_outerplanar(g.n, sorted(h))
+        builder.add_outerplanar(g.n, h)
     except NotOuterplanarError:
         raise NotOuterplanarError("witness subgraph is not outerplanar") from None
     bundles = inst.gadget_map["bundles"]
@@ -160,7 +160,7 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
     if inst.kind != "unc":
         raise ValueError("instance is not of the unc kind")
     g = inst.source
-    part_sets = [frozenset(normalize_edge(u, v) for u, v in p) for p in parts]
+    part_sets = [_edge_set(p) for p in parts]
     if len(part_sets) < 2:
         raise ValueError("the unc witness needs at least 2 parts")
     if len(part_sets) > inst.budget:
@@ -171,7 +171,7 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
             raise ValueError("part edges must be source edges")
         builder = OuterBuilder()
         try:
-            builder.add_outerplanar(g.n, sorted(p))
+            builder.add_outerplanar(g.n, p)
         except NotOuterplanarError:
             raise NotOuterplanarError("a part is not outerplanar") from None
         builders.append(builder)

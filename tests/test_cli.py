@@ -262,6 +262,19 @@ def test_oracle_cap_refusal(tmp_path):
     assert "cap" in err
 
 
+def test_oracle_cap_refusal_on_a_large_host(tmp_path):
+    # 16,000 edges: the subset count has more digits than Python writes out
+    p = tmp_path / "k2_8000.txt"
+    p.write_text("8002 16000\n" + "".join(f"{b} {w}\n" for b in (0, 1) for w in range(2, 8002)))
+    code, out, err = run_cap("oracle", "unc", "--graph", str(p))
+    assert code == 2
+    assert err == (
+        "error: host has 16000 edges, above the cap of 12; "
+        "an exhaustive run would sweep 2^16000 edge subsets\n"
+    )
+    assert out == ""
+
+
 @pytest.mark.parametrize("quantity", ["h", "ecr", "unc", "mus"])
 def test_oracle_refuses_a_host_with_no_vertices(tmp_path, quantity):
     p = tmp_path / "g0.txt"
@@ -436,6 +449,19 @@ def test_oversized_host_refused_up_front(args, edges):
     assert err == (
         f"error: host would have {edges} edges, more than the limit of 1000000\n"
     )
+
+
+def test_cover_part_that_does_not_draw_aborts(monkeypatch, tmp_path):
+    # with every chain on the same blacks and whites, the rest of K_{6,6}
+    # is not outerplanar, and drawing it stops the construction
+    import uncrossed.constructions as cons
+
+    monkeypatch.setattr(cons, "_shifts", lambda m, n: (0, 0))
+    cert_path = tmp_path / "c.cert"
+    code, out, err = run_cap("construct", "collection", "6", "6", "-o", str(cert_path))
+    assert code == 2
+    assert err.startswith("error: component [") and err.endswith("] is not outerplanar\n")
+    assert out == "" and not cert_path.exists()
 
 
 def test_oversized_reduction_refused_up_front(tmp_path):

@@ -113,7 +113,6 @@ def test_double_cycle_cover_small_shapes():
     c = double_cycle_cover(3, 6)
     assert c.kind == "block"
     assert len(c.cycles) == unc_complete_bipartite(3, 6)
-    assert c.union_edges() == complete_bipartite(3, 6).edges
     c.validate()
 
 
@@ -154,16 +153,13 @@ def test_double_cycle_cover_sampled_range():
         c = double_cycle_cover(m, n)
         c.validate()
         assert len(c.cycles) == unc_complete_bipartite(m, n), (m, n)
-        assert c.union_edges() == complete_bipartite(m, n).edges, (m, n)
 
 
 def test_minus_one_cover():
     for m in (3, 4, 5, 8):
         c = double_cycle_cover_minus_one(m)
-        assert c.kind == "minus-one"
-        n = 2 * m - 1
+        assert c.kind == "minus-one" and c.n == 2 * m - 1
         assert len(c.cycles) == -(-m // 2)
-        assert c.union_edges() == complete_bipartite(m, n).edges
         c.validate()
 
 
@@ -192,16 +188,13 @@ def test_outerplanar_cover_small():
     from uncrossed.graph import Graph
 
     for m, n in [(3, 3), (3, 4), (4, 5), (5, 5), (5, 8), (6, 7), (8, 8)]:
-        pairs = outerplanar_cover(m, n)
-        assert len(pairs) == unc_complete_bipartite(m, n), (m, n)
-        host = pairs[0][1].host
-        assert host == complete_bipartite(m, n)
+        parts = outerplanar_cover(m, n)
+        assert len(parts) == unc_complete_bipartite(m, n), (m, n)
+        host = complete_bipartite(m, n)
         alle = set()
-        for part, drawing in pairs:
-            # one host per cover, and each part drawn admissibly as itself
-            assert drawing.host is host
-            assert drawing.drawn >= part
-            assert verify_drawing(host, drawing).ok, (m, n)
+        for part in parts:
+            # normalized host edges, ready to draw without a copy
+            assert isinstance(part, frozenset) and part <= host.edges
             ok, _ = is_outerplanar(Graph(m + n, part))
             assert ok, (m, n, part)
             if len({v for e in part for v in e}) <= 8:
@@ -216,7 +209,7 @@ def test_outerplanar_cover_parts_pinned():
     h = hashlib.sha256()
     for m in range(6, 17):
         for n in (m, m + 1):
-            for i, (part, _) in enumerate(outerplanar_cover(m, n)):
+            for i, part in enumerate(outerplanar_cover(m, n)):
                 h.update(f"{m} {n} {i}: {sorted(part)}\n".encode())
     assert h.hexdigest() == (
         "d97529f61ddf4735b4c683af45c696a00a3a744ff555958276a304040f9b7375"
@@ -275,8 +268,7 @@ def test_outerplanar_cover_is_the_search_first_hit():
     # search over layouts x beta x sigma finds first
     for m in range(3, 41):
         for n in (m, m + 1):
-            parts = [part for part, _ in outerplanar_cover(m, n)]
-            assert parts == _search_cover(m, n), (m, n)
+            assert outerplanar_cover(m, n) == _search_cover(m, n), (m, n)
 
 
 def test_search_skips_only_rests_that_are_not_outerplanar():
@@ -334,14 +326,13 @@ def test_collection_from_decomposition_names_a_foreign_edge():
 
 @pytest.mark.parametrize("m,n", [(3, 3), (3, 4), (4, 6), (5, 5), (5, 8)])
 def test_collection_from_decomposition_of_outerplanar_cover(m, n):
-    pairs = outerplanar_cover(m, n)
-    cert = collection_from_outerplanar_decomposition(
-        complete_bipartite(m, n), [part for part, _ in pairs]
-    )
+    parts = outerplanar_cover(m, n)
+    cert = collection_from_outerplanar_decomposition(complete_bipartite(m, n), parts)
     assert verify_certificate(cert).ok
     assert cert.size == unc_complete_bipartite(m, n)
-    # both draw each part with outerplanar_extension
-    assert cert.drawings == tuple(d for _, d in pairs)
+    assert all(d.drawn >= part for d, part in zip(cert.drawings, parts))
+    # the collection of K_{m,n} is this one: it draws the cover's parts here
+    assert cert.drawings == bipartite_uncrossed_collection(m, n).drawings
 
 
 @pytest.mark.parametrize("n,parts", [
@@ -401,7 +392,7 @@ def test_cover_serialization_roundtrip():
         assert back.kind == c.kind
         assert back.m == c.m and back.n == c.n
         assert [cy.black_cycle for cy in back.cycles] == [cy.black_cycle for cy in c.cycles]
-        assert back.union_edges() == c.union_edges()
+        assert [cy.edges() for cy in back.cycles] == [cy.edges() for cy in c.cycles]
         assert serialize_cover(back) == text
 
 

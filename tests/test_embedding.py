@@ -440,9 +440,8 @@ def test_outer_walk_is_the_first_face_through_every_vertex():
         for comp in connected_components(n, g.edges):
             if len(comp) < 2:
                 continue
-            sub = sorted(e for e in g.sorted_edges if e[0] in comp)
             try:
-                rotation, walk = _embed_component_outerplanar(comp, sub)
+                rotation, walk = _embed_component_outerplanar(comp, g.adjacency)
             except NotOuterplanarError:
                 continue
             first = next(f for f in trace_rotation(rotation) if f.vertices >= set(comp))

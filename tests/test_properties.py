@@ -205,9 +205,8 @@ def test_cover_roundtrip(m, data):
     text = serialize_cover(cover)
     back = parse_cover(text)
     assert back.kind == cover.kind
-    assert back.union_edges() == cover.union_edges()
+    assert [c.edges() for c in back.cycles] == [c.edges() for c in cover.cycles]
     assert serialize_cover(back) == text
-    assert back.union_edges() == complete_bipartite(back.m, back.n).edges
     back.validate()
 
 
