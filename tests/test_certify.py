@@ -242,3 +242,121 @@ def test_k400_wheel_text_formats_hold_one_chunk_at_a_time():
     lines_peak, lines = _traced_peak(rep.lines)
     assert lines_peak <= 4 * sum(map(len, lines))
     assert lines[-2].count("(") == 79800 - len(d.drawn)
+
+
+# --- pinned verify reports -------------------------------------------------
+
+
+def _grid(k: int) -> tuple:
+    """(edges, rotation) of the k x k grid drawn in the plane: vertex
+    r * k + c lists its right, lower, left and upper neighbours in turn."""
+    rotation = []
+    for r in range(k):
+        for c in range(k):
+            steps = ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c))
+            rotation.append(tuple(a * k + b for a, b in steps
+                                  if 0 <= a < k and 0 <= b < k))
+    edges = frozenset((v, u) for v, ring in enumerate(rotation) for u in ring if v < u)
+    return edges, tuple(rotation)
+
+
+def _with_ring(d: PlaneDrawing, v: int, ring, drawn=None, outer="keep") -> PlaneDrawing:
+    rotation = d.rotation[:v] + (tuple(ring),) + d.rotation[v + 1:]
+    return PlaneDrawing(d.host, d.drawn if drawn is None else drawn, rotation,
+                        d.outer_dart if outer == "keep" else outer)
+
+
+def _report_certificates() -> list:
+    """(name, certificate text) pairs that between them reach every line a
+    verify report can print."""
+    from uncrossed import bipartite_uncrossed_collection
+
+    certs = []
+    for m in range(1, 7):
+        for n in range(m, 3 * m + 5):
+            certs.append((f"K_{m},{n}", bipartite_uncrossed_collection(m, n)))
+    certs.append(("K_12,13", bipartite_uncrossed_collection(12, 13)))
+    w400 = wheel_drawing(400)
+    certs.append(("wheel 400", UncrossedCertificate(w400.host, (w400,))))
+    triangle = complete_graph(3)
+    ecr = ecr_forward_witness(reduce_mos_to_ecr(triangle, 3), sorted(triangle.edges))
+    certs.append(("ecr witness", UncrossedCertificate(ecr.host, (ecr,))))
+
+    # corrupted copies of a K_{3,5} collection and of a wheel
+    base = bipartite_uncrossed_collection(3, 5)
+    d = base.drawings[0]
+    w = wheel_drawing(7)
+    hub_ring = w.rotation[0]
+    rim = w.rotation[2]
+    u = d.rotation[0][0]
+    broken = {
+        "repeated neighbour": _with_ring(d, 0, d.rotation[0] + d.rotation[0][:1]),
+        "self-dart": _with_ring(d, 0, d.rotation[0] + (0,)),
+        "missing reverse dart": _with_ring(d, u, tuple(x for x in d.rotation[u] if x != 0)),
+        "foreign edge": _with_ring(
+            _with_ring(d, 0, d.rotation[0] + (1,), drawn=d.drawn | {(0, 1)}),
+            1, d.rotation[1] + (0,), drawn=d.drawn | {(0, 1)}),
+        "past n": _with_ring(d, 0, d.rotation[0] + (8,)),
+        "negative": _with_ring(d, 7, (-1,) + d.rotation[7]),
+        "undrawn outer dart": _with_ring(d, 0, d.rotation[0], outer=d.undrawn[0]),
+        # rim vertex 1 left without its edges
+        "disconnected": PlaneDrawing(
+            w.host, frozenset(e for e in w.drawn if 1 not in e),
+            tuple(tuple(x for x in ring if x != 1) if v != 1 else ()
+                  for v, ring in enumerate(w.rotation))),
+        "euler": _with_ring(w, 0, hub_ring[1:2] + hub_ring[:1] + hub_ring[2:]),
+        "rim twist": _with_ring(w, 2, rim[::-1]),
+    }
+    for name, bad in broken.items():
+        certs.append((name, UncrossedCertificate(bad.host, (bad,) + base.drawings[1:]
+                                                 if bad.host == base.host else (bad,))))
+    # every drawing at once, valid ones between the broken ones
+    certs.append(("mixed", UncrossedCertificate(base.host, tuple(
+        x for b in broken.values() if b.host == base.host for x in (b, d)))))
+
+    # plane grids: the undrawn edges across a face do not share it; K_36
+    # leaves many undrawn edges, the grid plus three chords only three
+    edges, rotation = _grid(6)
+    k36 = complete_graph(36)
+    certs.append(("grid in K_36", UncrossedCertificate(
+        k36, (PlaneDrawing(k36, edges, rotation, (0, 1)),))))
+    sparse = Graph(36, edges | {(0, 35), (7, 14), (7, 28)})
+    certs.append(("grid plus three", UncrossedCertificate(
+        sparse, (PlaneDrawing(sparse, edges, rotation),))))
+    edges, rotation = _grid(9)
+    k81 = complete_graph(81)
+    certs.append(("grid in K_81", UncrossedCertificate(
+        k81, (PlaneDrawing(k81, edges, rotation),) + tuple(
+            PlaneDrawing(k81, edges, rotation[:v] + (rotation[v][::-1],) + rotation[v + 1:])
+            for v in (0, 10, 40)))))
+    lone = Graph(1)
+    certs.append(("one vertex", UncrossedCertificate(lone, (PlaneDrawing(lone, (), ((),)),))))
+    return [(name, serialize_certificate(c)) for name, c in certs]
+
+
+def test_verify_reports_pinned(tmp_path):
+    # sha256 over the exit code, text report and --json output of verify on
+    # every certificate above
+    import hashlib
+
+    from test_cli import run_cap
+
+    h = hashlib.sha256()
+    seen = []
+    for name, text in _report_certificates():
+        p = tmp_path / "x.cert"
+        p.write_text(text)
+        for flags in ((), ("--json",)):
+            code, out, err = run_cap(*flags, "verify", "--cert", str(p))
+            assert err == ""
+            h.update(f"{name} {flags} {code}\n{out}".encode())
+            seen.append(out)
+    report = "".join(seen)
+    for line in ("repeated neighbor in rotation", "is not a host edge",
+                 "is not a drawn dart", "connected and spanning: NO",
+                 "planar by face count: NO", "non-cofacial undrawn edges: (",
+                 "uncovered edges: (", "verdict: VALID"):
+        assert line in report
+    assert h.hexdigest() == (
+        "be83fa3436f9aeb98a3dae621dd2a0dfe86dc61afbc036a82cabb993ce76cc31"
+    )
