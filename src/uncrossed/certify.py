@@ -90,18 +90,18 @@ class AdmissibilityReport:
 
 def verify_drawing(host: Graph, d: PlaneDrawing) -> AdmissibilityReport:
     """Recheck admissibility of one drawing of host from scratch."""
-    structural = []
     if d.host != host:
-        structural.append("drawing host differs from the supplied graph")
-    structural.extend(d.structural_errors())
-    if structural:
-        return AdmissibilityReport(ok=False, structural=tuple(structural))
+        structural = ("drawing host differs from the supplied graph", *d.structural_errors())
+        return AdmissibilityReport(ok=False, structural=structural)
+    if not d.well_formed:
+        return AdmissibilityReport(ok=False, structural=tuple(d.structural_errors()))
     if not edges_connected(host.n, d.drawn):
         return AdmissibilityReport(ok=False, connected=False)
     face_count = d.face_count or 1
     if not d.euler_ok:
         return AdmissibilityReport(ok=False, connected=True, face_count=face_count)
-    violating = d.violating_edges()
+    # the sorted list is built only once the cheaper test has failed
+    violating = () if d.undrawn_cofacial() else d.violating_edges()
     return AdmissibilityReport(
         ok=not violating,
         connected=True,
@@ -175,10 +175,15 @@ def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:
 # text at a time, a chunk ending right after the first newline at or beyond
 # graph.CHUNK_CHARS characters from its start, and the writer joins edge
 # lines graph.JOIN_BLOCK at a time, so that neither keeps one string per
-# edge of a large host. The host needs at least one vertex. The outer
-# dart must be a drawn dart; the verifier reports one that is not as a
-# malformed drawing. Verification reads Euler's count and the violating
-# edges off PlaneDrawing's dart tracer: one int face mask per vertex.
+# edge of a large host. Edge and rotation tokens go through one int memo
+# per reader, so each vertex is one int object. The host needs at least one
+# vertex. The outer dart must be a drawn dart; the verifier reports one that
+# is not as a malformed drawing. Verification reads each drawing in one pass
+# over its rotation (PlaneDrawing.well_formed, face ids per dart slot and
+# Euler's count from them), then tests the undrawn edges cofacial by the
+# cheaper of two tests: one vertex bitmask per face against the host's
+# adjacency bitmasks, or the face ids of each undrawn edge's ends. The
+# sorted list of violating edges is built only when that test fails.
 
 
 def serialize_certificate(c: UncrossedCertificate) -> str:
@@ -227,13 +232,13 @@ def parse_certificate(text: str) -> UncrossedCertificate:
             ln = r.take()
             label, _, rest = ln.partition(":")
             try:
-                found = int(label)
+                found = r.token_int(label)
             except ValueError:
                 raise r.error(f"bad rotation line {ln!r}") from None
             if found != v:
                 raise r.error(f"rotation lines out of order: found {label!r}, expected {v}")
             try:
-                rotation.append(tuple(map(int, rest.split())))
+                rotation.append(tuple(map(r.token_int, rest.split())))
             except ValueError:
                 raise r.error(f"non-integer neighbor in {ln!r}") from None
         outer = None

@@ -11,16 +11,19 @@ around ``v``.
 
 One integer tracer serves every reader. Darts are numbered as slots, the
 vertices in sorted order and the darts out of each in rotation order, so
-dart ``(v, rotation[v][i])`` is slot ``off[v] + i``; faces are the cycles of
-a flat successor list over those slots, and a face's id is the rank of its
-lowest slot. ``_face_masks`` ORs each face's bit into a mask per vertex, for
-``PlaneDrawing`` and the oracle's kernel alike. A drawing's ``drawn`` and
-``rotation`` are the one record of its edges. It keeps only the face count
-and those masks, and answers ``undrawn`` (sorted), Euler's count
-(``euler_ok``) and the cofacial rule (``violating_edges``) for the verifier,
-the renderer, ``is_planar_embedding`` and the oracle. ``Face`` objects with
-their walks are built only for the renderer and callers of ``faces`` and
-``outer_face``.
+dart ``(v, rotation[v][i])`` is slot ``off[v] + i``; ``_successors`` maps each
+slot to the slot after it on its face, and faces are the cycles of that
+list, a face's id being the rank of its lowest slot. A ``PlaneDrawing`` reads
+its rotation in one such pass, which also gives its structural verdict
+(``well_formed``), and keeps only each slot's face id: that gives Euler's
+count (``euler_ok``), the faces through a vertex (``vertex_faces``) and the
+cofacial rule (``undrawn_cofacial``, ``violating_edges``) for the verifier,
+the renderer, ``is_planar_embedding`` and the oracle's final check. The
+cofacial rule is tested by one vertex bitmask per face where the host is
+dense, and by the face ids of each undrawn edge's ends where it is sparse.
+The oracle's kernel ORs face bits into a mask per vertex with
+``_face_masks``. ``Face`` objects with their walks are built only for the
+renderer and callers of ``faces`` and ``outer_face``.
 
 Outerplanar embedding is pure Python, one biconnected block at a time (the
 degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
@@ -35,8 +38,11 @@ that checked their input's outerplanarity.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter
 
 import networkx as nx
 
@@ -63,33 +69,30 @@ class Face:
     length: int
 
 
-def _dart_slots(rotation) -> tuple:
-    """The darts of a rotation system, numbered as integer slots.
+def _successors(verts, rings) -> tuple:
+    """(after, succ, off) for the darts of a rotation system, numbered as
+    slots.
 
-    Vertices are taken in sorted order and the darts out of each in the order
-    of its rotation, so dart (v, rotation[v][i]) is slot ``off[v] + i``.
-    Returns (tails, heads, succ): the ends of each slot's dart, and the slot
-    of the dart after it on its face. Raises MalformedRotationError when
-    darts are not symmetric or orders contain repeats.
+    ``rings[i]`` is the rotation of vertex ``verts[i]``, and dart
+    (v, rings[i][j]) is slot ``off[i] + j``, ``off`` counting the darts of the
+    vertices before; ``off`` ends with the slot count. ``after[v]`` maps each
+    neighbour u of v to the slot of the dart that follows (u, v) on its face,
+    and ``succ[s]`` is the slot of the dart after slot s. Raises
+    MalformedRotationError when darts are not symmetric or orders contain
+    repeats.
     """
-    verts = sorted(rotation)
-    rings = [tuple(rotation[v]) for v in verts]
-    # per vertex v: neighbour u -> slot of the dart that follows (u, v)
-    after = {}
-    off = 0
-    for v, ring in zip(verts, rings):
-        after[v] = dict(zip(ring, [*range(off + 1, off + len(ring)), off]))
-        off += len(ring)
-    try:
-        succ = [after[u][v] for v, ring in zip(verts, rings) for u in ring]
-    except KeyError:
-        succ = None
-    if succ is None or any(len(after[v]) != len(ring) or v in after[v]
-                           for v, ring in zip(verts, rings)):
-        _raise_malformed(verts, rings)
-    tails = [v for v, ring in zip(verts, rings) for _ in ring]
-    heads = [u for ring in rings for u in ring]
-    return tails, heads, succ
+    off = list(accumulate(map(len, rings), initial=0))
+    # the dart after (u, v) is the next one around v, cyclically
+    after = dict(zip(verts, [dict(zip(ring, (*range(a + 1, b), a)))
+                             for ring, a, b in zip(rings, off, off[1:])]))
+    # a repeated neighbour shortens its vertex's map
+    if (list(map(len, after.values())) == list(map(len, rings))
+            and not any(map(dict.__contains__, after.values(), verts))):
+        try:
+            return after, [after[u][v] for v, ring in zip(verts, rings) for u in ring], off
+        except KeyError:
+            pass
+    _raise_malformed(verts, rings)
 
 
 def _raise_malformed(verts: list, rings: list):
@@ -124,6 +127,22 @@ def _face_slots(succ: list) -> list:
     return faces
 
 
+def _face_ids(succ: list) -> tuple:
+    """(face, count): ``face[s]`` is the id of the face through slot s, the
+    faces being the cycles of ``succ`` numbered in the order of their lowest
+    slots."""
+    face = [None] * len(succ)
+    count = 0
+    for s in range(len(succ)):
+        if face[s] is None:
+            cur = s
+            while face[cur] is None:
+                face[cur] = count
+                cur = succ[cur]
+            count += 1
+    return face, count
+
+
 def _face_masks(succ: list, ends: list, n: int) -> tuple:
     """(face count, masks): the faces are the cycles of ``succ`` in the order
     of their lowest slots, and face f sets bit f in ``masks[ends[s]]`` for
@@ -150,8 +169,10 @@ def trace_rotation(rotation) -> list[Face]:
     MalformedRotationError when darts are not symmetric or orders contain
     repeats. Face ids follow the lowest dart slot of each face.
     """
-    tails, heads, succ = _dart_slots(rotation)
-    darts = list(zip(tails, heads))
+    verts = sorted(rotation)
+    rings = [tuple(rotation[v]) for v in verts]
+    _, succ, _ = _successors(verts, rings)
+    darts = [(v, u) for v, ring in zip(verts, rings) for u in ring]
     faces: list[Face] = []
     for slots in _face_slots(succ):
         walk = tuple(map(darts.__getitem__, slots))
@@ -168,11 +189,18 @@ class PlaneDrawing:
     designates the face whose boundary contains it as the outer one (used by
     rendering; face structure itself is spherical and needs no outer choice).
 
-    Faces are traced once on integer dart slots, and only the face count and
-    ``face_masks`` are cached: each vertex's faces as one int bitmask, so the
-    verifier, ``cofacial`` and the renderer test whether two vertices share a
-    face with a single ``&``. ``faces`` builds ``Face`` objects, walks
-    included, only when a reader asks for them.
+    One pass over the rotation (``_pass``) numbers the darts as slots, the
+    vertices in order and the darts out of each in rotation order, and gives
+    the structural verdict ``well_formed`` together with each slot's face id,
+    from which Euler's count follows. Only the face ids and each vertex's
+    first slot are kept, so ``vertex_faces(v)`` lists the faces through v
+    and memory stays linear in the darts. ``structural_errors`` only words
+    what a drawing that is not well formed gets wrong. The cofacial rule
+    takes the cheaper of two tests: one vertex bitmask per face, ORed into
+    each vertex's cofacial set and held against the host's adjacency
+    bitmasks, when darts and vertices times n/64 fall below the undrawn edge
+    count; the face ids of each undrawn edge's ends otherwise. ``faces`` builds
+    ``Face`` objects, walks included, only when a reader asks for them.
 
     Construction only checks cheap shape constraints so that structurally
     broken drawings can still be represented and then *reported* by the
@@ -228,39 +256,109 @@ class PlaneDrawing:
         return tuple(trace_rotation(dict(enumerate(self.rotation))))
 
     @cached_property
-    def _face_data(self) -> tuple:
-        # only the count and the masks are kept, not the dart slots
-        tails, _, succ = _dart_slots(dict(enumerate(self.rotation)))
-        count, masks = _face_masks(succ, tails, self.host.n)
-        return count, tuple(masks)
+    def _pass(self) -> tuple:
+        """(well formed, face data): one pass over the rotation.
+
+        The face data is (face id per slot, first slot per vertex with the
+        slot count appended, face count), or the MalformedRotationError
+        message of a rotation whose darts are not symmetric or that repeats a
+        neighbour.
+        The drawing is well formed when its drawn edges are host edges, its
+        outer dart is drawn, and its rotation's edges are exactly the drawn
+        ones: the rotation is sound, it holds twice as many darts as there
+        are drawn edges, and each drawn edge is among them.
+        """
+        rotation = self.rotation
+        try:
+            after, succ, off = _successors(range(len(rotation)), rotation)
+        except MalformedRotationError as exc:
+            return False, str(exc)
+        drawn, outer = self.drawn, self.outer_dart
+        well_formed = (
+            2 * len(drawn) == len(succ)
+            and drawn <= self.host.edges
+            and (outer is None or normalize_edge(*outer) in drawn)
+            # v in after[u] for each drawn (u, v)
+            and all(map(dict.__contains__, map(after.__getitem__, map(itemgetter(0), drawn)),
+                        map(itemgetter(1), drawn)))
+        )
+        face, count = _face_ids(succ)
+        return well_formed, (array("q", face), array("q", off), count)
+
+    @property
+    def well_formed(self) -> bool:
+        """True exactly when ``structural_errors()`` finds nothing."""
+        return self._pass[0]
+
+    @property
+    def _faces(self) -> tuple:
+        data = self._pass[1]
+        if isinstance(data, str):
+            raise MalformedRotationError(data)
+        return data
 
     @property
     def face_count(self) -> int:
         """The number of faces traced (0 when nothing is drawn)."""
-        return self._face_data[0]
+        return self._faces[2]
 
-    @property
-    def face_masks(self) -> tuple:
-        """Per vertex, an int with bit f set when face f passes through it.
-
-        Two vertices are cofacial iff their masks share a bit, and the lowest
-        shared bit is the lowest id of a face they share, which is the face
-        of that id in ``faces``.
-        """
-        return self._face_data[1]
+    def vertex_faces(self, v: int):
+        """The ids of the faces through v, one per dart out of v in rotation
+        order; face ids are those of ``faces``."""
+        face, off, _ = self._faces
+        return face[off[v]:off[v + 1]]
 
     @property
     def euler_ok(self) -> bool:
         """V - E + F = 2, where a drawing with no darts has one face."""
         return self.host.n - len(self.drawn) + (self.face_count or 1) == 2
 
+    def undrawn_cofacial(self) -> bool:
+        """True when the ends of every undrawn host edge share a face, for a
+        well-formed drawing.
+
+        With one bitmask per face, a vertex's cofacial set is the OR of the
+        masks of its faces, and no host neighbour may lie outside it; that
+        costs about n/64 word operations per dart and per vertex. When that
+        is not below the undrawn edge count, the edges are tested one by one
+        instead, in time and memory linear in the darts.
+        """
+        undrawn = self.host.m - len(self.drawn)
+        if not undrawn:
+            return True
+        face, off, count = self._faces
+        n = self.host.n
+        if (len(face) + n) * -(-n // 64) >= undrawn:
+            return next(self._violations(), None) is None
+        tails = [v for v, ring in enumerate(self.rotation) for _ in ring]
+        masks = [0] * count
+        for f, v in zip(face, tails):
+            masks[f] |= 1 << v
+        near = [0] * n
+        for f, v in zip(face, tails):
+            near[v] |= masks[f]
+        # no host neighbour outside a vertex's cofacial set
+        return not any(map(int.__and__, self.host.adjacency_masks, map(int.__invert__, near)))
+
+    def _violations(self):
+        """The undrawn host edges whose ends share no face, in sorted order.
+        Each edge tests the face ids of its end with fewer darts against the
+        set of those of its other end, built once per vertex."""
+        face, off, _ = self._faces
+        faces_at: dict = {}
+        for e in self.undrawn:
+            u, v = e
+            if off[u + 1] - off[u] > off[v + 1] - off[v]:
+                u, v = v, u
+            near = faces_at.get(v)
+            if near is None:
+                near = faces_at[v] = set(face[off[v]:off[v + 1]])
+            if near.isdisjoint(face[off[u]:off[u + 1]]):
+                yield e
+
     def violating_edges(self) -> tuple:
         """The undrawn host edges, in sorted order, whose ends share no face."""
-        drawn, masks = self.drawn, self.face_masks
-        return tuple(
-            e for e in self.host.sorted_edges
-            if e not in drawn and not masks[e[0]] & masks[e[1]]
-        )
+        return tuple(self._violations())
 
     def outer_face(self) -> Face | None:
         if self.outer_dart is None:
@@ -277,14 +375,12 @@ def is_planar_embedding(d: PlaneDrawing) -> bool:
     True iff the drawn subgraph is connected, spans every host vertex, and the
     traced faces satisfy V - E + F = 2.
     """
-    if d.structural_errors():
-        return False
-    return edges_connected(d.host.n, d.drawn) and d.euler_ok
+    return d.well_formed and edges_connected(d.host.n, d.drawn) and d.euler_ok
 
 
 def cofacial(d: PlaneDrawing, u: int, v: int) -> bool:
     """True iff u and v lie on a common face of the drawing."""
-    return bool(d.face_masks[u] & d.face_masks[v])
+    return not set(d.vertex_faces(u)).isdisjoint(d.vertex_faces(v))
 
 
 def is_planar_graph(g: Graph) -> tuple:
@@ -431,7 +527,9 @@ def _embed_component_outerplanar(vertices: list, adj) -> tuple:
     for block in _blocks(vertices[0], adj):
         order = _block_cycle(block)
         if order is None:
-            raise NotOuterplanarError(f"component {vertices} is not outerplanar")
+            raise NotOuterplanarError(
+                f"component of {len(vertices)} vertices at vertex {vertices[0]} "
+                "is not outerplanar")
         k = len(order)
         pos = {v: i for i, v in enumerate(order)}
         nbrs: dict = {v: [] for v in order}

@@ -89,6 +89,16 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
+    @cached_property
+    def adjacency_masks(self) -> tuple:
+        """Per vertex, an int with bit u set for each neighbour u."""
+        # one row of '0' and '1' characters per vertex, read as a binary number
+        n = self.n
+        rows = [bytearray(b"0" * n) for _ in range(n)]
+        for u, v in self.sorted_edges:
+            rows[u][v] = rows[v][u] = 49
+        return tuple(int(row[::-1], 2) for row in rows)
+
     def neighbors(self, v: int) -> tuple:
         return self.adjacency[v]
 
@@ -138,6 +148,8 @@ def _edge_set(edges) -> frozenset:
 def uncovered_edges(g: Graph, parts) -> tuple:
     """The edges of g, in sorted order, that no part (an edge set) holds."""
     covered = frozenset().union(*parts)
+    if g.edges <= covered:
+        return ()
     return tuple(e for e in g.sorted_edges if e not in covered)
 
 
@@ -173,9 +185,16 @@ def edges_connected(n: int, edges: frozenset) -> bool:
     parent = list(range(n))
     unions = 0
     for u, v in edges:
-        ru, rv = _find(parent, u), _find(parent, v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
+        # _find inlined: each end goes to its root, halving the path
+        while (p := parent[u]) != u:
+            parent[u] = u = parent[p]
+        while (p := parent[v]) != v:
+            parent[v] = v = parent[p]
+        if u != v:
+            if u < v:
+                parent[v] = u
+            else:
+                parent[u] = v
             unions += 1
     # a spanning tree takes exactly n - 1 successful unions
     return unions == n - 1
@@ -195,16 +214,25 @@ def _content(text: str) -> list:
     return [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
 
 
-def _bulk_pairs(lines: list) -> list:
-    """The lines parsed in one go as normalized pairs; ValueError when one
-    of them is not two integers."""
+class _Ints(dict):
+    """Token -> int memo: each token is converted by ``int`` once, so every
+    vertex read through one reader is one shared int object."""
+
+    def __missing__(self, token: str) -> int:
+        value = self[token] = int(token)
+        return value
+
+
+def _bulk_pairs(lines: list, ints) -> list:
+    """The lines parsed in one go as normalized pairs, each token converted
+    by ``ints``; ValueError when one of them is not two integers."""
     # ' ; ' marks the line ends: k well-formed lines split into
     # u v ; u v ; ... u v, and int() refuses a ';' anywhere else
     k = len(lines)
     tokens = " ; ".join(lines).split()
     if len(tokens) != 3 * k - 1 or tokens[2::3].count(";") != k - 1:
         raise ValueError("not k lines of two fields")
-    pairs = zip(map(int, tokens[0::3]), map(int, tokens[1::3]))
+    pairs = zip(map(ints, tokens[0::3]), map(ints, tokens[1::3]))
     return [(u, v) if u < v else (v, u) for u, v in pairs]
 
 
@@ -219,11 +247,13 @@ class LineReader:
     chunk ends only after a newline, the chunks together split into exactly
     the lines of ``text.splitlines()``, whatever the line ends. ``pos``
     counts the content lines taken so far. Physical line numbers are
-    recounted from the whole text only to word an error message.
+    recounted from the whole text only to word an error message. Edge and
+    rotation tokens go through ``token_int``, one memo per reader.
     """
 
     def __init__(self, text: str):
         self.text = text
+        self.token_int = _Ints().__getitem__
         self._next = 0  # offset in text of the next chunk
         self._lines: list = []  # content lines of the current chunk
         self._i = 0  # index in _lines of the next line
@@ -315,7 +345,7 @@ class LineReader:
                 if end == i:
                     break
             try:
-                norm += _bulk_pairs(lines[i:end])
+                norm += _bulk_pairs(lines[i:end], self.token_int)
                 self._i = end
             except ValueError:
                 # a section cut short is named first, as a whole

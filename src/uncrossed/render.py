@@ -248,10 +248,10 @@ def _fit(pos: dict, width: int, margin: float = 34.0) -> dict:
 def _undrawn_route(d: PlaneDrawing, u: int, v: int, pos: dict, centroids: dict):
     """Control point through the lowest shared face, or None when there is
     none. ``centroids`` caches face centroids by face id for one panel."""
-    shared = d.face_masks[u] & d.face_masks[v]
+    shared = set(d.vertex_faces(u)).intersection(d.vertex_faces(v))
     if not shared:
         return None
-    fid = (shared & -shared).bit_length() - 1
+    fid = min(shared)
     if fid not in centroids:
         verts = sorted(d.faces[fid].vertices)
         centroids[fid] = (sum(pos[w][0] for w in verts) / len(verts),

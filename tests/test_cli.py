@@ -460,7 +460,7 @@ def test_cover_part_that_does_not_draw_aborts(monkeypatch, tmp_path):
     cert_path = tmp_path / "c.cert"
     code, out, err = run_cap("construct", "collection", "6", "6", "-o", str(cert_path))
     assert code == 2
-    assert err.startswith("error: component [") and err.endswith("] is not outerplanar\n")
+    assert err == "error: component of 12 vertices at vertex 0 is not outerplanar\n"
     assert out == "" and not cert_path.exists()
 
 

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -29,7 +31,7 @@ from uncrossed import (
 )
 from uncrossed.certify import serialize_drawing, verify_drawing
 from uncrossed.embedding import OuterBuilder, _embed_component_outerplanar, trace_rotation
-from uncrossed.graph import connected_components
+from uncrossed.graph import connected_components, edges_connected
 
 
 def triangle_drawing():
@@ -378,10 +380,9 @@ def test_dart_tracer_matches_reference_tracers():
         assert Counter(f.vertices for f in d.faces) == Counter(map(frozenset, opposite))
         ordered = _faces_in_id_order(rotation)
         assert [f.vertices for f in d.faces] == ordered
-        assert d.face_masks == tuple(
-            sum(1 << f for f, verts in enumerate(ordered) if v in verts)
-            for v in range(host.n)
-        )
+        assert [set(d.vertex_faces(v)) for v in range(host.n)] == [
+            {f for f, verts in enumerate(ordered) if v in verts} for v in range(host.n)
+        ]
         connected = H.connected(host.n, host.edges)
         nonplanar += connected and host.n - host.m + d.face_count != 2
     assert nonplanar >= 50
@@ -424,9 +425,103 @@ def test_malformed_rotations_keep_their_messages():
         assert str(exc.value) == want
         d = PlaneDrawing(host, host.edges, rot)
         with pytest.raises(MalformedRotationError) as exc:
-            d.face_masks
+            d.face_count
         assert str(exc.value) == want
     assert min(kinds[k] for k in ("repeat", "self", "drop", "foreign")) >= 20
+
+
+def _tree_and_chords(rng, n: int, host_edges: list, chords: int) -> frozenset:
+    """A random spanning tree of K_n plus up to ``chords`` host edges."""
+    order = rng.sample(range(n), n)
+    drawn = {tuple(sorted((v, rng.choice(order[:i])))) for i, v in enumerate(order) if i}
+    drawn.update(rng.sample(host_edges, min(chords, len(host_edges))))
+    return frozenset(drawn)
+
+
+def _corrupt(rng, host: Graph, drawn: frozenset, rotation: list, outer):
+    """One way to break a drawing, or none; returns (drawn, rotation, outer)."""
+    n = host.n
+    rot = [list(r) for r in rotation]
+    v = rng.randrange(n)
+    kind = rng.choice(("none", "none", "none", "repeat", "self", "drop", "negative",
+                       "alias", "past n", "undrawn outer", "unlisted edge", "swapped edge"))
+    if kind == "repeat" and rot[v]:
+        rot[v].append(rot[v][0])
+    elif kind == "self":
+        rot[v].insert(rng.randrange(len(rot[v]) + 1), v)
+    elif kind == "drop" and rot[v]:
+        rot[v].pop(rng.randrange(len(rot[v])))
+    elif kind == "negative":
+        rot[v].append(-1 - rng.randrange(2 * n))
+    elif kind == "alias" and (n - 1) in rot[v]:
+        # read through a list, -1 would name vertex n - 1, whose ring lists v
+        rot[v][rot[v].index(n - 1)] = -1
+    elif kind == "past n":
+        rot[v].append(n + rng.randrange(3))
+    elif kind == "undrawn outer":
+        outer = (v, next((u for u in range(n) if u != v and (min(u, v), max(u, v)) not in drawn), v))
+    elif kind == "unlisted edge" and drawn:
+        drawn = drawn - {rng.choice(sorted(drawn))}
+    elif kind == "swapped edge" and drawn and host.edges - drawn:
+        # as many drawn edges as the rotation holds, one of them another host edge
+        drawn = drawn - {rng.choice(sorted(drawn))} | {rng.choice(sorted(host.edges - drawn))}
+    return drawn, tuple(map(tuple, rot)), outer
+
+
+def test_one_pass_and_both_cofacial_tests_match_the_references():
+    # dense hosts on few vertices fall on the bitset side of the cost rule
+    # (darts and vertices times n/64 below the undrawn edge count), sparse
+    # hosts on many vertices on the per-edge side
+    rng = random.Random(25)
+    seen = Counter()
+    for i in range(900):
+        dense = i % 3 != 0
+        n = rng.randint(2, 14) if dense else rng.randint(65, 140)
+        every = list(itertools.combinations(range(n), 2))
+        if dense:
+            drawn = _tree_and_chords(rng, n, every, rng.randint(0, 4))
+            host = Graph(n, [e for e in every if e in drawn or rng.random() < 0.9])
+        else:
+            drawn = _tree_and_chords(rng, n, every, rng.randint(1, 6))
+            host = Graph(n, drawn | set(rng.sample(every, rng.randint(1, 30))))
+        adj = H._adj_sets(n, drawn)
+        rotation = [rng.sample(sorted(a), len(a)) for a in adj]
+        outer = rng.choice(sorted(drawn)) if drawn and rng.random() < 0.5 else None
+        drawn, rotation, outer = _corrupt(rng, host, drawn, rotation, outer)
+        d = PlaneDrawing(host, drawn, rotation, outer)
+        assert d.well_formed == (d.structural_errors() == [])
+        problem = _first_rotation_problem(dict(enumerate(rotation)))
+        if problem is not None:
+            with pytest.raises(MalformedRotationError, match=re.escape(problem)):
+                d.face_count
+            assert not d.well_formed
+            seen["malformed rotation"] += 1
+            continue
+        faces = H._faces_cw({v: r for v, r in enumerate(rotation) if r})
+        assert d.face_count == len(faces)
+        if not d.well_formed:
+            seen["not well formed"] += 1
+            continue
+        connected = H.connected(n, drawn)
+        assert edges_connected(n, d.drawn) == connected
+        assert is_planar_embedding(d) == (connected and n - len(drawn) + max(len(faces), 1) == 2)
+        if not is_planar_embedding(d):
+            continue
+        want = tuple(e for e in d.undrawn
+                     if not any(e[0] in f and e[1] in f for f in faces))
+        assert d.violating_edges() == want
+        assert d.undrawn_cofacial() == (want == ())
+        assert verify_drawing(host, d).ok == (want == ())
+        bitset = (2 * len(drawn) + n) * -(-n // 64) < host.m - len(drawn)
+        seen["bitset" if bitset else "per edge", bool(want)] += 1
+        # some rotation is admissible when this one is; the reference tries
+        # every rotation, so only where there are few
+        if not want and math.prod(math.factorial(len(a) - 1) for a in adj) <= 500:
+            assert H.admissible_by_rotations(n, drawn, host.edges)
+            seen["exhaustive"] += 1
+    assert min(seen[side, bad] for side in ("bitset", "per edge") for bad in (True, False)) >= 20
+    assert seen["malformed rotation"] >= 100 and seen["not well formed"] >= 40
+    assert seen["exhaustive"] >= 50
 
 
 def test_outer_walk_is_the_first_face_through_every_vertex():

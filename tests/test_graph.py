@@ -255,3 +255,68 @@ def test_reader_chunks_give_the_lines_of_splitlines():
     assert r.pos == len(want)
     with pytest.raises(FormatError):
         r.take()
+
+
+def test_parsed_endpoints_are_shared_ints():
+    # one int object per vertex, through the host's edges, the drawn edges
+    # and the rotation rows of a certificate
+    from uncrossed import UncrossedCertificate, wheel_drawing
+
+    w = wheel_drawing(400)
+    cert = parse_certificate(serialize_certificate(UncrossedCertificate(w.host, (w,))))
+    d = cert.drawings[0]
+    ends = [x for e in cert.host.edges for x in e]
+    ends += [x for e in d.drawn for x in e]
+    ends += [x for ring in d.rotation for x in ring]
+    objects: dict = {}
+    for x in ends:
+        objects.setdefault(x, set()).add(id(x))
+    assert len(objects) == 400
+    assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_parsed_k400_holds_what_complete_graph_holds():
+    import gc
+    import tracemalloc
+
+    def retained(fn, *args):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return tracemalloc.get_traced_memory()[0], out
+        finally:
+            tracemalloc.stop()
+
+    text = format_edge_list(complete_graph(400))
+    built, _ = retained(complete_graph, 400)
+    parsed, g = retained(parse_edge_list, text)
+    assert g == complete_graph(400)
+    assert abs(parsed - built) <= 0.02 * built
+
+
+def test_integer_tokens_parse_as_int_reads_them():
+    g = parse_edge_list("8 2\n007 1\n+3 -0\n")
+    assert sorted(g.edges) == [(0, 3), (1, 7)]
+    cert = parse_certificate("graph\n3 2\n0 1\n1 2\ndrawing 1\nedges 2\n0 1\n2 +1\n"
+                             "rotation\n0: +1\n001: 0 02\n2: 1\n")
+    assert cert.drawings[0].rotation == ((1,), (0, 2), (1,))
+    assert cert.drawings[0].drawn == {(0, 1), (1, 2)}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3 2\n0 1\n1 x\n", "line 3: non-integer in edge line: '1 x'"),
+    ("3 2\n0 1\n1 2.0\n", "line 3: non-integer in edge line: '1 2.0'"),
+    ("3 2\n0 1\n; 2\n", "line 3: non-integer in edge line: '; 2'"),
+    ("3 2\n0 1\n1 2 ;\n", "line 3: expected edge line, got '1 2 ;'"),
+    ("3 1\n\n# c\n0 1e0\n", "line 4: non-integer in edge line: '0 1e0'"),
+    ("graph\n3 2\n0 1\n1 2\ndrawing 1\nedges 2\n0 1\n1 2\nrotation\n0: 1\n1: 0 x\n2: 1\n",
+     "line 11: non-integer neighbor in '1: 0 x'"),
+    ("graph\n3 2\n0 1\n1 2\ndrawing 1\nedges 2\n0 1\n1 2\nrotation\n0: 1\nx: 0 2\n2: 1\n",
+     "line 11: bad rotation line 'x: 0 2'"),
+])
+def test_bad_tokens_keep_their_messages(text, message):
+    parse = parse_certificate if text.startswith("graph") else parse_edge_list
+    with pytest.raises(FormatError) as exc:
+        parse(text)
+    assert str(exc.value) == message
