@@ -13,15 +13,10 @@ One integer tracer serves every reader. Darts are numbered as slots, the
 vertices in sorted order and the darts out of each in rotation order, so
 dart ``(v, rotation[v][i])`` is slot ``off[v] + i``; ``_successors`` maps each
 slot to the slot after it on its face, and faces are the cycles of that
-list, a face's id being the rank of its lowest slot. A ``PlaneDrawing`` reads
-its rotation in one such pass, which also gives its structural verdict
-(``well_formed``), and keeps only each slot's face id: that gives Euler's
-count (``euler_ok``), the faces through a vertex (``vertex_faces``) and the
-cofacial rule (``undrawn_cofacial``, ``violating_edges``) for the verifier,
-the renderer, ``is_planar_embedding`` and the oracle's final check. The
-cofacial rule is tested by one vertex bitmask per face where the host is
-dense, and by the face ids of each undrawn edge's ends where it is sparse.
-The oracle's kernel ORs face bits into a mask per vertex with
+list, a face's id being the rank of its lowest slot. ``PlaneDrawing`` reads
+its rotation in one such pass and keeps each slot's face id, for the
+verifier, the renderer, ``is_planar_embedding`` and the oracle's final
+check; the oracle's kernel ORs face bits into a mask per vertex with
 ``_face_masks``. ``Face`` objects with their walks are built only for the
 renderer and callers of ``faces`` and ``outer_face``.
 
@@ -257,16 +252,12 @@ class PlaneDrawing:
 
     @cached_property
     def _pass(self) -> tuple:
-        """(well formed, face data): one pass over the rotation.
+        """(well formed, (face id per slot, first slot per vertex and the
+        slot count, face count)), or (False, the MalformedRotationError
+        message) for a rotation that is not symmetric or repeats a neighbour.
 
-        The face data is (face id per slot, first slot per vertex with the
-        slot count appended, face count), or the MalformedRotationError
-        message of a rotation whose darts are not symmetric or that repeats a
-        neighbour.
-        The drawing is well formed when its drawn edges are host edges, its
-        outer dart is drawn, and its rotation's edges are exactly the drawn
-        ones: the rotation is sound, it holds twice as many darts as there
-        are drawn edges, and each drawn edge is among them.
+        The rotation's edges are exactly the drawn ones when the rotation is
+        sound, holds two darts per drawn edge, and has each drawn edge.
         """
         rotation = self.rotation
         try:
@@ -315,14 +306,9 @@ class PlaneDrawing:
 
     def undrawn_cofacial(self) -> bool:
         """True when the ends of every undrawn host edge share a face, for a
-        well-formed drawing.
-
-        With one bitmask per face, a vertex's cofacial set is the OR of the
-        masks of its faces, and no host neighbour may lie outside it; that
-        costs about n/64 word operations per dart and per vertex. When that
-        is not below the undrawn edge count, the edges are tested one by one
-        instead, in time and memory linear in the darts.
-        """
+        well-formed drawing. The bitmask test costs about n/64 word
+        operations per dart and per vertex; where that is not below the
+        undrawn edge count, the edges are tested one by one."""
         undrawn = self.host.m - len(self.drawn)
         if not undrawn:
             return True
@@ -341,9 +327,9 @@ class PlaneDrawing:
         return not any(map(int.__and__, self.host.adjacency_masks, map(int.__invert__, near)))
 
     def _violations(self):
-        """The undrawn host edges whose ends share no face, in sorted order.
-        Each edge tests the face ids of its end with fewer darts against the
-        set of those of its other end, built once per vertex."""
+        """The undrawn host edges whose ends share no face, in sorted order:
+        the face ids of the end with fewer darts against a set of those of
+        the other end, built once per vertex."""
         face, off, _ = self._faces
         faces_at: dict = {}
         for e in self.undrawn:

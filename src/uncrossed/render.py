@@ -368,7 +368,7 @@ def render(obj, spec: RenderSpec | None = None) -> str:
         raise TypeError(f"cannot render {type(obj).__name__}")
     errors = [
         f"drawing {i + 1}: {err}"
-        for i, d in enumerate(drawings)
+        for i, d in enumerate(drawings) if not d.well_formed
         for err in d.structural_errors()
     ]
     if errors:

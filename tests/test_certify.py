@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ from uncrossed import (
     Graph,
     PlaneDrawing,
     UncrossedCertificate,
+    bipartite_uncrossed_collection,
     certificate_size_vs_bounds,
     complete_graph,
     double_cycle_cover,
@@ -25,6 +27,8 @@ from uncrossed import (
 )
 from uncrossed.certify import serialize_drawing
 from uncrossed.reductions import ecr_forward_witness, reduce_mos_to_ecr
+
+from test_cli import run_cap
 
 
 def test_wheel_drawing_is_admissible():
@@ -269,8 +273,6 @@ def _with_ring(d: PlaneDrawing, v: int, ring, drawn=None, outer="keep") -> Plane
 def _report_certificates() -> list:
     """(name, certificate text) pairs that between them reach every line a
     verify report can print."""
-    from uncrossed import bipartite_uncrossed_collection
-
     certs = []
     for m in range(1, 7):
         for n in range(m, 3 * m + 5):
@@ -337,10 +339,6 @@ def _report_certificates() -> list:
 def test_verify_reports_pinned(tmp_path):
     # sha256 over the exit code, text report and --json output of verify on
     # every certificate above
-    import hashlib
-
-    from test_cli import run_cap
-
     h = hashlib.sha256()
     seen = []
     for name, text in _report_certificates():

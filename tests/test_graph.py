@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -10,11 +12,13 @@ import helpers as H
 from uncrossed import (
     FormatError,
     Graph,
+    UncrossedCertificate,
     complete_bipartite,
     complete_graph,
     format_edge_list,
     is_connected,
     parse_edge_list,
+    wheel_drawing,
 )
 from uncrossed.certify import parse_certificate, serialize_certificate
 from uncrossed.constructions import bipartite_uncrossed_collection
@@ -260,8 +264,6 @@ def test_reader_chunks_give_the_lines_of_splitlines():
 def test_parsed_endpoints_are_shared_ints():
     # one int object per vertex, through the host's edges, the drawn edges
     # and the rotation rows of a certificate
-    from uncrossed import UncrossedCertificate, wheel_drawing
-
     w = wheel_drawing(400)
     cert = parse_certificate(serialize_certificate(UncrossedCertificate(w.host, (w,))))
     d = cert.drawings[0]
@@ -276,9 +278,6 @@ def test_parsed_endpoints_are_shared_ints():
 
 
 def test_parsed_k400_holds_what_complete_graph_holds():
-    import gc
-    import tracemalloc
-
     def retained(fn, *args):
         gc.collect()
         tracemalloc.start()
