@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import importlib
 import random
 
 import numpy as np
 import pytest
+
+import helpers as H
 
 from uncrossed import (
     Graph,
@@ -19,7 +22,7 @@ from uncrossed import (
     wheel_drawing,
 )
 from uncrossed.reductions import ecr_forward_witness, reduce_mos_to_ecr
-from uncrossed.render import _circle_positions, _tutte_positions
+from uncrossed.render import FORMATS, _circle_positions, _tutte_positions
 
 BLUE = "#1a5fb4"
 GRAY = "#9a9996"
@@ -220,3 +223,71 @@ def test_tutte_unpinned_component_falls_back_to_circle(inner):
                      outer_edges + inner_edges, rot)
     assert len(_boundary(d)) == 5
     assert _tutte_positions(d) == _circle_positions(d)
+
+
+def _planar_witnesses(rng) -> list:
+    """Seeded is_planar_graph witnesses: no outer dart, so the barycentric
+    layout pins the face with the most vertices. Half carry pendant
+    vertices."""
+    drawings = []
+    while len(drawings) < 16:
+        n, edges = H.random_graph(rng, rng.randint(4, 11), rng.uniform(0.3, 0.6))
+        if len(drawings) % 2:
+            for _ in range(rng.randint(1, 3)):
+                edges.append((rng.randrange(n), n))
+                n += 1
+        ok, d = is_planar_graph(Graph(n, edges))
+        if ok and d is not None:
+            drawings.append(d)
+    drawings.extend(_grid_drawing(rng, rng.randint(3, 5), rng.randint(3, 5)) for _ in range(4))
+    return drawings
+
+
+def _denser_hosts(rng, drawings) -> list:
+    """The same rotations over hosts with extra edges, some of whose ends
+    share no face: those are drawn red, the others routed through a face."""
+    out = []
+    for d in drawings:
+        n = d.host.n
+        extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u, v) not in d.drawn and rng.random() < 0.3]
+        out.append(PlaneDrawing(Graph(n, sorted(d.drawn) + extra), d.drawn, d.rotation))
+    return out
+
+
+def _render_pin_groups() -> dict:
+    rng = random.Random(26)
+    witnesses = _planar_witnesses(rng)
+    src = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2), (0, 3), (1, 4)])
+    part = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2)]
+    return {
+        "planar witnesses": witnesses,
+        "denser hosts": _denser_hosts(rng, witnesses),
+        "collections": [bipartite_uncrossed_collection(m, n)
+                        for m, n in ((3, 5), (4, 7), (5, 5), (6, 9))]
+        + [wheel_drawing(9), ecr_forward_witness(reduce_mos_to_ecr(src, len(part)), part)],
+    }
+
+
+def _renders_digest(objs) -> str:
+    h = hashlib.sha256()
+    for obj in objs:
+        for layout in ("auto", "tutte-barycentric"):
+            for fmt in FORMATS:
+                h.update(render(obj, RenderSpec(layout=layout, format=fmt)).encode())
+    return h.hexdigest()
+
+
+# sha256 over every render of each group, taken while render traced each
+# drawing's faces a second time; the outputs must stay byte-identical
+RENDER_PINS = {
+    "planar witnesses": "6cfc994897b4b5033901ebad190a569a240c377f4de7a244878696e200b562f9",
+    "denser hosts": "f29aec3d503b936deb6175b6c4a75d90d2d29ca645207ca2720b98b2f65cd86e",
+    "collections": "95e8780d47f4533f3d51ac59beca9f15e8a5057c93f26ae21bea9507e122564e",
+}
+
+
+@pytest.mark.parametrize("group", sorted(RENDER_PINS))
+def test_renders_pinned(group):
+    # SVG and DOT of each drawing, under the auto and barycentric layouts
+    assert _renders_digest(_render_pin_groups()[group]) == RENDER_PINS[group]
