@@ -13,12 +13,12 @@ One integer tracer serves every reader. Darts are numbered as slots, the
 vertices in sorted order and the darts out of each in rotation order, so
 dart ``(v, rotation[v][i])`` is slot ``off[v] + i``; ``_successors`` maps each
 slot to the slot after it on its face, and faces are the cycles of that
-list, a face's id being the rank of its lowest slot. ``PlaneDrawing`` reads
-its rotation in one such pass and keeps each slot's face id, for the
-verifier, the renderer, ``is_planar_embedding`` and the oracle's final
-check; the oracle's kernel ORs face bits into a mask per vertex with
-``_face_masks``. ``Face`` objects with their walks are built only for the
-renderer and callers of ``faces`` and ``outer_face``.
+list, numbered by ``_face_ids`` alone: a face's id is the rank of its lowest
+slot. ``PlaneDrawing`` reads its rotation in one such pass and keeps each
+slot's face id, for the verifier, the renderer, ``is_planar_embedding`` and
+the oracle's final check; the oracle's kernel ORs face bits into a mask per
+vertex. ``_walk_face`` follows one face dart by dart, for an outerplanar
+component's outer walk, the renderer's boundary and ``trace_rotation``.
 
 Outerplanar embedding is pure Python, one biconnected block at a time (the
 degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
@@ -104,24 +104,6 @@ def _raise_malformed(verts: list, rings: list):
     raise AssertionError("rotation has no malformed dart")
 
 
-def _face_slots(succ: list) -> list:
-    """The faces as lists of dart slots in walk order, each walk starting at
-    its lowest slot, in the order of those slots."""
-    seen = bytearray(len(succ))
-    faces = []
-    for s in range(len(succ)):
-        if seen[s]:
-            continue
-        walk = []
-        cur = s
-        while not seen[cur]:
-            seen[cur] = 1
-            walk.append(cur)
-            cur = succ[cur]
-        faces.append(walk)
-    return faces
-
-
 def _face_ids(succ: list) -> tuple:
     """(face, count): ``face[s]`` is the id of the face through slot s, the
     faces being the cycles of ``succ`` numbered in the order of their lowest
@@ -138,23 +120,22 @@ def _face_ids(succ: list) -> tuple:
     return face, count
 
 
-def _face_masks(succ: list, ends: list, n: int) -> tuple:
-    """(face count, masks): the faces are the cycles of ``succ`` in the order
-    of their lowest slots, and face f sets bit f in ``masks[ends[s]]`` for
-    each slot s on it, ``ends`` giving one end of each slot's dart."""
-    masks = [0] * n
-    seen = bytearray(len(succ))
-    bit = 1
-    for s in range(len(succ)):
-        if seen[s]:
-            continue
-        cur = s
-        while not seen[cur]:
-            seen[cur] = 1
-            masks[ends[cur]] |= bit
-            cur = succ[cur]
-        bit <<= 1
-    return bit.bit_length() - 1, masks
+def _walk_face(rotation, start: Dart, where: dict | None = None) -> list:
+    """The darts of the face through dart ``start``, in walk order from it.
+    ``where`` caches each reached vertex's neighbour positions, and walks
+    that share it index each rotation once."""
+    where = {} if where is None else where
+    walk = [start]
+    u, v = start
+    while True:
+        ring = rotation[v]
+        at = where.get(v)
+        if at is None:
+            at = where[v] = {w: i for i, w in enumerate(ring)}
+        u, v = v, ring[(at[u] + 1) % len(ring)]
+        if (u, v) == start:
+            return walk
+        walk.append((u, v))
 
 
 def trace_rotation(rotation) -> list[Face]:
@@ -168,10 +149,13 @@ def trace_rotation(rotation) -> list[Face]:
     rings = [tuple(rotation[v]) for v in verts]
     _, succ, _ = _successors(verts, rings)
     darts = [(v, u) for v, ring in zip(verts, rings) for u in ring]
+    face, _ = _face_ids(succ)
+    where: dict = {}
     faces: list[Face] = []
-    for slots in _face_slots(succ):
-        walk = tuple(map(darts.__getitem__, slots))
-        faces.append(Face(len(faces), walk, frozenset(d[0] for d in walk), len(walk)))
+    for s, f in enumerate(face):
+        if f == len(faces):  # the face's lowest slot
+            walk = tuple(_walk_face(rotation, darts[s], where))
+            faces.append(Face(f, walk, frozenset(d[0] for d in walk), len(walk)))
     return faces
 
 
@@ -194,8 +178,8 @@ class PlaneDrawing:
     takes the cheaper of two tests: one vertex bitmask per face, ORed into
     each vertex's cofacial set and held against the host's adjacency
     bitmasks, when darts and vertices times n/64 fall below the undrawn edge
-    count; the face ids of each undrawn edge's ends otherwise. ``faces`` builds
-    ``Face`` objects, walks included, only when a reader asks for them.
+    count; the face ids of each undrawn edge's ends otherwise. The renderer
+    derives its outer boundary and face centroids from the same face ids.
 
     Construction only checks cheap shape constraints so that structurally
     broken drawings can still be represented and then *reported* by the
@@ -247,10 +231,6 @@ class PlaneDrawing:
         return errs
 
     @cached_property
-    def faces(self) -> tuple:
-        return tuple(trace_rotation(dict(enumerate(self.rotation))))
-
-    @cached_property
     def _pass(self) -> tuple:
         """(well formed, (face id per slot, first slot per vertex and the
         slot count, face count)), or (False, the MalformedRotationError
@@ -295,7 +275,7 @@ class PlaneDrawing:
 
     def vertex_faces(self, v: int):
         """The ids of the faces through v, one per dart out of v in rotation
-        order; face ids are those of ``faces``."""
+        order; a face's id is the rank of its lowest slot."""
         face, off, _ = self._faces
         return face[off[v]:off[v + 1]]
 
@@ -345,14 +325,6 @@ class PlaneDrawing:
     def violating_edges(self) -> tuple:
         """The undrawn host edges, in sorted order, whose ends share no face."""
         return tuple(self._violations())
-
-    def outer_face(self) -> Face | None:
-        if self.outer_dart is None:
-            return None
-        for f in self.faces:
-            if self.outer_dart in f.walk:
-                return f
-        raise ValueError(f"outer dart {self.outer_dart} lies on no face")
 
 
 def is_planar_embedding(d: PlaneDrawing) -> bool:
@@ -529,16 +501,7 @@ def _embed_component_outerplanar(vertices: list, adj) -> tuple:
     # every fan starts after an outer corner, so the dart from the lowest
     # vertex to its first neighbour (the tracer's slot 0) lies on the outer
     # face; only that face is walked
-    where = {v: {u: i for i, u in enumerate(r)} for v, r in rotation.items()}
-    start = (vertices[0], rotation[vertices[0]][0])
-    walk = [start]
-    u, v = start
-    while True:
-        ring = rotation[v]
-        u, v = v, ring[(where[v][u] + 1) % len(ring)]
-        if (u, v) == start:
-            break
-        walk.append((u, v))
+    walk = _walk_face(rotation, (vertices[0], rotation[vertices[0]][0]))
     if len({a for a, _ in walk}) != len(vertices):
         raise AssertionError("block embedding left a vertex off the outer walk")
     return rotation, walk

@@ -12,14 +12,14 @@ The rotation search of one subset runs on integers. Darts are numbered by
 head vertex, and each candidate order of a vertex becomes, once per subset,
 a row of successor slots; a rotation system is a choice of one row per
 vertex. Faces are counted as cycles of that successor list and checked
-against Euler's count first; only a system that passes gets face masks
-from ``embedding._face_masks``, the bit of each face ORed into the mask of
-every dart head on it, and an undrawn edge (u, v) is cofacial when
-``mask[u] & mask[v]``. The orders of the last vertex are tried only after
-the faces closing among darts into the other vertices are counted: every
-remaining face runs through one of the last vertex's darts, so when that
-count plus its degree falls short of Euler's, none of its orders can
-succeed and all are skipped. The first admissible system found is
+against Euler's count first; only a system that passes gets face masks:
+``embedding._face_ids`` numbers its faces, the bit of each face is ORed
+into the mask of every dart head on it, and an undrawn edge (u, v) is
+cofacial when ``mask[u] & mask[v]``. The orders of the last vertex are
+tried only after the faces closing among darts into the other vertices are
+counted: every remaining face runs through one of the last vertex's darts,
+so when that count plus its degree falls short of Euler's, none of its
+orders can succeed and all are skipped. The first admissible system found is
 the same as a plain ``itertools.product`` scan would find, and before it is
 returned it is traced again by ``PlaneDrawing``'s own dart tracer and
 checked by its ``euler_ok`` and ``violating_edges``; a disagreement raises
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .certify import UncrossedCertificate
-from .embedding import PlaneDrawing, _face_masks
+from .embedding import PlaneDrawing, _face_ids
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .embedding import trace_rotation  # noqa: F401
 from .errors import OracleCapError
@@ -181,7 +181,10 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
                 continue
             planar = True
             succ[low:] = row
-            _, mask = _face_masks(succ, head, n)
+            face, _ = _face_ids(succ)
+            mask = [0] * n
+            for v, f in zip(head, face):
+                mask[v] |= 1 << f
             if not all(mask[u] & mask[v] for u, v in undrawn):
                 continue
             rotation = tuple(

@@ -19,10 +19,11 @@ the circle layout.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .certify import UncrossedCertificate
-from .embedding import PlaneDrawing
+from .embedding import PlaneDrawing, _walk_face
 
 LAYOUTS = ("auto", "radial-wheel", "bipartite-circular", "tutte-barycentric")
 FORMATS = ("svg", "dot")
@@ -149,9 +150,7 @@ def _tutte_positions(d: PlaneDrawing) -> dict:
     n = d.host.n
     if not d.drawn:
         return _circle_positions(d)
-    outer = d.outer_face() or max(d.faces, key=lambda f: (len(f.vertices), -f.id))
-    # walk order, first visits only
-    boundary = list(dict.fromkeys(u for u, _ in outer.walk))
+    boundary = _boundary(d)
     pos = {}
     k = len(boundary)
     for j, v in enumerate(boundary):
@@ -185,6 +184,35 @@ def _tutte_positions(d: PlaneDrawing) -> dict:
         deg = len(adj[v]) or 1
         pos[v] = (x / deg, y / deg)
     return pos
+
+
+def _boundary(d: PlaneDrawing) -> list:
+    """The vertices of the outer face in walk order from its lowest slot,
+    first visits only. The outer face is the one through the outer dart, or
+    else the face with the most vertices, the lowest id among equals."""
+    rot = d.rotation
+    if d.outer_dart is not None:
+        a, b = d.outer_dart
+        fid = d.vertex_faces(a)[rot[a].index(b)]
+    else:
+        sizes = Counter(f for v in range(d.host.n) for f in set(d.vertex_faces(v)))
+        fid = max(sizes, key=lambda f: (sizes[f], -f))
+    # slots run over the vertices in order, so the lowest on the face is
+    # the first dart of the first vertex that has one there
+    v = next(v for v in range(d.host.n) if fid in d.vertex_faces(v))
+    start = (v, rot[v][d.vertex_faces(v).index(fid)])
+    return list(dict.fromkeys(u for u, _ in _walk_face(rot, start)))
+
+
+def _face_centroids(d: PlaneDrawing, pos: dict) -> list:
+    """Each face's centroid, indexed by face id, summed over its vertices in
+    sorted order."""
+    faces: list = [[] for _ in range(d.face_count)]
+    for v in range(d.host.n):
+        for f in set(d.vertex_faces(v)):
+            faces[f].append(v)
+    return [(sum(pos[w][0] for w in verts) / len(verts),
+             sum(pos[w][1] for w in verts) / len(verts)) for verts in faces]
 
 
 def _solve_component(comp: list, adj: tuple, pos: dict) -> dict | None:
@@ -245,18 +273,13 @@ def _fit(pos: dict, width: int, margin: float = 34.0) -> dict:
     }
 
 
-def _undrawn_route(d: PlaneDrawing, u: int, v: int, pos: dict, centroids: dict):
+def _undrawn_route(d: PlaneDrawing, u: int, v: int, pos: dict, centroids: list):
     """Control point through the lowest shared face, or None when there is
-    none. ``centroids`` caches face centroids by face id for one panel."""
+    none. ``centroids`` holds the face centroids by face id."""
     shared = set(d.vertex_faces(u)).intersection(d.vertex_faces(v))
     if not shared:
         return None
-    fid = min(shared)
-    if fid not in centroids:
-        verts = sorted(d.faces[fid].vertices)
-        centroids[fid] = (sum(pos[w][0] for w in verts) / len(verts),
-                          sum(pos[w][1] for w in verts) / len(verts))
-    cx, cy = centroids[fid]
+    cx, cy = centroids[min(shared)]
     mx, my = (pos[u][0] + pos[v][0]) / 2, (pos[u][1] + pos[v][1]) / 2
     return ((mx + cx) / 2, (my + cy) / 2)
 
@@ -270,8 +293,9 @@ def _svg_panel(d: PlaneDrawing, spec: RenderSpec, offset_x: float, title: str) -
             f'<text x="{w / 2:.1f}" y="20" text-anchor="middle" '
             f'font-size="13" fill="#444">{title}</text>'
         )
-    centroids: dict = {}
-    for u, v in d.undrawn:
+    undrawn = d.undrawn
+    centroids = _face_centroids(d, pos) if undrawn else []
+    for u, v in undrawn:
         (x1, y1), (x2, y2) = pos[u], pos[v]
         ctrl = _undrawn_route(d, u, v, pos, centroids)
         if ctrl is None:

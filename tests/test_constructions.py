@@ -45,6 +45,7 @@ from uncrossed.constructions import (
     collection_from_outerplanar_decomposition,
     double_cycle_cover_for,
 )
+from uncrossed.embedding import trace_rotation
 
 
 def test_wheel_drawing_shape():
@@ -74,8 +75,10 @@ def test_ladder_with_leaves_edges_and_outerplanarity():
         assert len(d.drawn) == 2 * m + n - 2
         assert verify_drawing(d.host, d).ok
         # drawn part is outerplanar: all vertices on the designated face
-        outer = d.outer_face()
-        assert outer is not None and outer.vertices == frozenset(range(m + n))
+        assert d.outer_dart is not None
+        outer = next(f for f in trace_rotation(dict(enumerate(d.rotation)))
+                     if d.outer_dart in f.walk)
+        assert outer.vertices == frozenset(range(m + n))
         if m + n <= 8:
             assert H.outerplanar_bruteforce(m + n, sorted(d.drawn))
 
@@ -365,7 +368,7 @@ def test_bipartite_collection_planar_regime():
         assert verify_certificate(cert).ok, (m, n)
     (d,) = bipartite_uncrossed_collection(2, 4).drawings
     assert d.rotation == ((2, 3, 4, 5), (5, 4, 3, 2)) + ((0, 1),) * 4
-    assert len(d.faces) == 4
+    assert len(H._faces_cw(dict(enumerate(d.rotation)))) == 4
 
 
 def test_bipartite_collection_sampled():

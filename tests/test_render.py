@@ -21,6 +21,7 @@ from uncrossed import (
     render,
     wheel_drawing,
 )
+from uncrossed.embedding import trace_rotation
 from uncrossed.reductions import ecr_forward_witness, reduce_mos_to_ecr
 from uncrossed.render import FORMATS, _circle_positions, _tutte_positions
 
@@ -120,7 +121,11 @@ def test_forced_layouts_fall_back_where_they_do_not_fit(monkeypatch):
 
 
 def _boundary(d: PlaneDrawing) -> list:
-    outer = d.outer_face() or max(d.faces, key=lambda f: (len(f.vertices), -f.id))
+    faces = trace_rotation(dict(enumerate(d.rotation)))
+    if d.outer_dart is None:
+        outer = max(faces, key=lambda f: (len(f.vertices), -f.id))
+    else:
+        outer = next(f for f in faces if d.outer_dart in f.walk)
     return list(dict.fromkeys(u for u, _ in outer.walk))
 
 
@@ -291,3 +296,14 @@ RENDER_PINS = {
 def test_renders_pinned(group):
     # SVG and DOT of each drawing, under the auto and barycentric layouts
     assert _renders_digest(_render_pin_groups()[group]) == RENDER_PINS[group]
+
+
+def test_render_reads_the_drawings_own_face_ids(monkeypatch):
+    # render takes faces from the pass that verified the drawing, so it
+    # never traces a rotation a second time
+    def traced(rotation):
+        raise AssertionError("render traced a rotation again")
+
+    monkeypatch.setattr(importlib.import_module("uncrossed.embedding"), "trace_rotation", traced)
+    for group, objs in _render_pin_groups().items():
+        assert _renders_digest(objs) == RENDER_PINS[group]
