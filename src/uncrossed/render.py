@@ -10,10 +10,10 @@ visible at a glance.
 The barycentric layout (Tutte, "How to draw a graph", 1963) puts every
 interior vertex at the mean of its drawn neighbours. That system splits
 into one block per connected component of the interior: a vertex alone in
-its component sits at the mean of its pinned neighbours, and only larger
-components go to ``numpy.linalg.solve``. A component with no pinned
-neighbour has no unique solution, and the whole drawing then falls back to
-the circle layout.
+its component sits at the mean of its pinned neighbours, and a larger one
+is solved by conjugate gradients in memory linear in its size. A component
+with no pinned neighbour has no unique solution, and the whole drawing then
+falls back to the circle layout.
 """
 
 from __future__ import annotations
@@ -21,12 +21,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .certify import UncrossedCertificate
 from .embedding import PlaneDrawing, _walk_face
 
 LAYOUTS = ("auto", "radial-wheel", "bipartite-circular", "tutte-barycentric")
 FORMATS = ("svg", "dot")
+_CG_TOL = 1e-14  # relative residual at which a barycentric solve stops
+_CG_MAX_STEPS = 100_000  # ends only a solve that rounding stalls
 
 
 @dataclass(frozen=True)
@@ -217,32 +220,39 @@ def _face_centroids(d: PlaneDrawing, pos: dict) -> list:
 
 def _solve_component(comp: list, adj: tuple, pos: dict) -> dict | None:
     """Barycentric positions of one connected set of interior vertices with
-    the boundary in ``pos`` pinned, or None when the system is singular (no
-    boundary neighbour)."""
-    import numpy as np  # only these systems need it; keeps the CLI import light
-
+    the boundary in ``pos`` pinned, or None when none has a pinned neighbour.
+    The system is symmetric and diagonally dominant, strictly so in a row with
+    a pinned neighbour, and the set is connected: so it is positive definite."""
     idx = {v: i for i, v in enumerate(comp)}
-    a_mat = np.zeros((len(comp), len(comp)))
-    bx = np.zeros(len(comp))
-    by = np.zeros(len(comp))
-    pinned = False
-    for v, i in idx.items():
-        a_mat[i, i] = float(len(adj[v]))
-        for u in adj[v]:
-            if u in idx:
-                a_mat[i, idx[u]] -= 1.0
-            else:
-                pinned = True
-                bx[i] += pos[u][0]
-                by[i] += pos[u][1]
-    if not pinned:
+    nbrs = [[idx[u] for u in adj[v] if u in idx] for v in comp]
+    diag = [len(adj[v]) for v in comp]
+    if all(len(nb) == deg for nb, deg in zip(nbrs, diag)):
         return None
-    try:
-        xs = np.linalg.solve(a_mat, bx)
-        ys = np.linalg.solve(a_mat, by)
-    except np.linalg.LinAlgError:
-        return None
-    return {v: (float(xs[i]), float(ys[i])) for v, i in idx.items()}
+    xs, ys = (_conjugate_gradient(
+        nbrs, diag, [sum(pos[u][c] for u in adj[v] if u not in idx) for v in comp])
+        for c in (0, 1))
+    return dict(zip(comp, zip(xs, ys)))
+
+
+def _conjugate_gradient(nbrs: list, diag: list, b: list) -> list:
+    """x with diag[i] x[i] - sum(x[j] for j in nbrs[i]) = b[i], by conjugate
+    gradients (Hestenes and Stiefel, 1952), the diagonal as preconditioner."""
+    x, r = [0.0] * len(b), list(b)
+    z = p = [ri / d for ri, d in zip(r, diag)]
+    rz, stop = sum(map(mul, r, z)), _CG_TOL * _CG_TOL * sum(map(mul, b, b))
+    for _ in range(_CG_MAX_STEPS):
+        if sum(map(mul, r, r)) <= stop:  # a zero b stops here at once
+            break
+        at = p.__getitem__
+        q = [d * pi - sum(map(at, nb)) for d, pi, nb in zip(diag, p, nbrs)]
+        alpha = rz / sum(map(mul, p, q))
+        x = [xi + alpha * pi for xi, pi in zip(x, p)]
+        r = [ri - alpha * qi for ri, qi in zip(r, q)]
+        z = [ri / d for ri, d in zip(r, diag)]
+        rz_prev, rz = rz, sum(map(mul, r, z))
+        beta = rz / rz_prev
+        p = [zi + beta * pi for zi, pi in zip(z, p)]
+    return x
 
 
 def _positions(d: PlaneDrawing, layout: str) -> dict:

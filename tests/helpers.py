@@ -193,3 +193,16 @@ def random_graph(rng: random.Random, n: int, p: float):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return n, edges
+
+
+def plane_grid(k: int) -> tuple:
+    """(edges, rotation) of the k x k grid drawn in the plane: vertex
+    r * k + c lists its right, lower, left and upper neighbours in turn."""
+    rotation = []
+    for r in range(k):
+        for c in range(k):
+            steps = ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c))
+            rotation.append(tuple(a * k + b for a, b in steps
+                                  if 0 <= a < k and 0 <= b < k))
+    edges = frozenset((v, u) for v, ring in enumerate(rotation) for u in ring if v < u)
+    return edges, tuple(rotation)

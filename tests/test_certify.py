@@ -8,6 +8,8 @@ import tracemalloc
 
 import pytest
 
+import helpers as H
+
 from uncrossed import (
     FormatError,
     Graph,
@@ -251,19 +253,6 @@ def test_k400_wheel_text_formats_hold_one_chunk_at_a_time():
 # --- pinned verify reports -------------------------------------------------
 
 
-def _grid(k: int) -> tuple:
-    """(edges, rotation) of the k x k grid drawn in the plane: vertex
-    r * k + c lists its right, lower, left and upper neighbours in turn."""
-    rotation = []
-    for r in range(k):
-        for c in range(k):
-            steps = ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c))
-            rotation.append(tuple(a * k + b for a, b in steps
-                                  if 0 <= a < k and 0 <= b < k))
-    edges = frozenset((v, u) for v, ring in enumerate(rotation) for u in ring if v < u)
-    return edges, tuple(rotation)
-
-
 def _with_ring(d: PlaneDrawing, v: int, ring, drawn=None, outer="keep") -> PlaneDrawing:
     rotation = d.rotation[:v] + (tuple(ring),) + d.rotation[v + 1:]
     return PlaneDrawing(d.host, d.drawn if drawn is None else drawn, rotation,
@@ -318,14 +307,14 @@ def _report_certificates() -> list:
 
     # plane grids: the undrawn edges across a face do not share it; K_36
     # leaves many undrawn edges, the grid plus three chords only three
-    edges, rotation = _grid(6)
+    edges, rotation = H.plane_grid(6)
     k36 = complete_graph(36)
     certs.append(("grid in K_36", UncrossedCertificate(
         k36, (PlaneDrawing(k36, edges, rotation, (0, 1)),))))
     sparse = Graph(36, edges | {(0, 35), (7, 14), (7, 28)})
     certs.append(("grid plus three", UncrossedCertificate(
         sparse, (PlaneDrawing(sparse, edges, rotation),))))
-    edges, rotation = _grid(9)
+    edges, rotation = H.plane_grid(9)
     k81 = complete_graph(81)
     certs.append(("grid in K_81", UncrossedCertificate(
         k81, (PlaneDrawing(k81, edges, rotation),) + tuple(

@@ -13,12 +13,18 @@ from pathlib import Path
 
 import pytest
 
+import helpers as H
+
 from uncrossed import (
     FormatError,
+    Graph,
+    PlaneDrawing,
+    UncrossedCertificate,
     complete_bipartite,
     complete_graph,
     format_edge_list,
     parse_certificate,
+    serialize_certificate,
 )
 from uncrossed.cli import _parse_parts_file, run
 
@@ -515,13 +521,26 @@ def test_outer_dart_off_the_drawing_is_malformed(tmp_path):
     assert "outer dart (0, 5) is not a drawn dart" in err
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def test_cli_renders_barycentric_layout_without_numpy(tmp_path):
+    # an 8 x 8 grid pins its 28 outer vertices and solves the other 36 as one
+    # component; with numpy unimportable, neither the import nor render may
+    # reach for it
+    edges, rotation = H.plane_grid(8)
+    host = Graph(64, edges)
+    cert = tmp_path / "grid.cert"
+    cert.write_text(serialize_certificate(
+        UncrossedCertificate(host, (PlaneDrawing(host, edges, rotation),))))
+    svg = tmp_path / "grid.svg"
     _, env = _cli_command()
-    code = "import sys, uncrossed.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=60)
+    code = (
+        "import sys; sys.modules['numpy'] = None; import uncrossed.cli; "
+        "sys.exit(uncrossed.cli.run(['render', '--cert', sys.argv[1], "
+        "'--layout', 'tutte-barycentric', '-o', sys.argv[2]]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(cert), str(svg)],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert svg.read_text().startswith("<svg")
 
 
 def _sha256(text: str) -> str:

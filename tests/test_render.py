@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import math
 import random
+from fractions import Fraction
 
-import numpy as np
 import pytest
 
 import helpers as H
@@ -24,6 +25,8 @@ from uncrossed import (
 from uncrossed.embedding import trace_rotation
 from uncrossed.reductions import ecr_forward_witness, reduce_mos_to_ecr
 from uncrossed.render import FORMATS, _circle_positions, _tutte_positions
+
+from test_certify import _traced_peak
 
 BLUE = "#1a5fb4"
 GRAY = "#9a9996"
@@ -130,26 +133,38 @@ def _boundary(d: PlaneDrawing) -> list:
 
 
 def _dense_tutte(d: PlaneDrawing) -> dict:
-    """The barycentric layout as one dense system over the whole interior."""
+    """The barycentric layout as one dense system over the whole interior,
+    solved exactly in fractions from the float boundary positions."""
     boundary = _boundary(d)
     pos = {}
     for j, v in enumerate(boundary):
-        a = 2 * np.pi * j / len(boundary) - np.pi / 2
-        pos[v] = (np.cos(a), np.sin(a))
+        a = 2 * math.pi * j / len(boundary) - math.pi / 2
+        pos[v] = (Fraction(math.cos(a)), Fraction(math.sin(a)))
     interior = [v for v in range(d.host.n) if v not in pos]
     idx = {v: i for i, v in enumerate(interior)}
-    a_mat = np.zeros((len(interior), len(interior)))
-    b = np.zeros((len(interior), 2))
+    k = len(interior)
+    rows = []  # each row: k coefficients, then the x and y right-hand sides
     for v in interior:
+        row = [Fraction(0)] * (k + 2)
         nbrs = [u for e in d.drawn if v in e for u in e if u != v]
-        a_mat[idx[v], idx[v]] = len(nbrs) or 1.0
+        row[idx[v]] = Fraction(len(nbrs) or 1)
         for u in nbrs:
             if u in idx:
-                a_mat[idx[v], idx[u]] -= 1.0
+                row[idx[u]] -= 1
             else:
-                b[idx[v]] += pos[u]
-    xy = np.linalg.solve(a_mat, b)
-    pos.update((v, tuple(xy[idx[v]])) for v in interior)
+                row[k] += pos[u][0]
+                row[k + 1] += pos[u][1]
+        rows.append(row)
+    # Gauss-Jordan elimination
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(k):
+            if r != c and rows[r][c]:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    pos.update((v, (rows[i][k] / rows[i][i], rows[i][k + 1] / rows[i][i]))
+               for v, i in idx.items())
     return pos
 
 
@@ -200,6 +215,11 @@ def test_tutte_per_component_matches_dense_solve():
     src = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2), (0, 3), (1, 4)])
     part = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 2)]
     drawings.append(ecr_forward_witness(reduce_mos_to_ecr(src, len(part)), part))
+    # a triangle hung from the square's corner at (1, 0): the right-hand side
+    # of its y system is zero
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (1, 4), (1, 5), (4, 5)]
+    rotation = ((1, 3), (0, 2, 5, 4), (1, 3), (2, 0), (5, 1), (1, 4))
+    drawings.append(PlaneDrawing(Graph(6, edges), edges, rotation, (0, 1)))
     sizes = []
     for d in drawings:
         want, got = _dense_tutte(d), _tutte_positions(d)
@@ -211,11 +231,22 @@ def test_tutte_per_component_matches_dense_solve():
     assert sum(1 for s in sizes if s == 1) >= 10
 
 
+def test_tutte_layout_memory_is_linear():
+    # the 30 x 30 grid pins its 116 outer vertices and solves the other 784
+    # as one component; a dense 784 x 784 matrix alone takes 4.7 MiB
+    edges, rotation = H.plane_grid(30)
+    d = PlaneDrawing(Graph(900, edges), edges, rotation)
+    spec = RenderSpec(layout="tutte-barycentric")
+    render(d, spec)  # warm-up: caches and interned strings are not counted
+    peak, svg = _traced_peak(render, d, spec)
+    assert svg.startswith("<svg")
+    assert peak < 2.5 * 2**20
+
+
 @pytest.mark.parametrize("inner", [3, 4])
 def test_tutte_unpinned_component_falls_back_to_circle(inner):
-    # a drawn 5-cycle, and a cycle that touches no vertex of its outer face;
-    # numpy's solve raises on the singular system of a triangle but not on
-    # that of a 4-cycle
+    # a drawn 5-cycle, and a triangle or 4-cycle that touches no vertex of
+    # its outer face: with no pinned neighbour its system is singular
     def cycle(vs):
         k = len(vs)
         return ([(vs[i], vs[(i + 1) % k]) for i in range(k)],
@@ -284,10 +315,13 @@ def _renders_digest(objs) -> str:
 
 
 # sha256 over every render of each group, taken while render traced each
-# drawing's faces a second time; the outputs must stay byte-identical
+# drawing's faces a second time; the outputs must stay byte-identical. The
+# first two were re-pinned when conjugate gradients replaced a dense LU
+# solve: in each, the DOT line of vertex 6 of witness 15 changed under both
+# layouts, its exact y of -13/8 a tie at two decimals (-1.62 to -1.63)
 RENDER_PINS = {
-    "planar witnesses": "6cfc994897b4b5033901ebad190a569a240c377f4de7a244878696e200b562f9",
-    "denser hosts": "f29aec3d503b936deb6175b6c4a75d90d2d29ca645207ca2720b98b2f65cd86e",
+    "planar witnesses": "3ccdfe535d3702c6c36c36a28b42daf82735d9172175c7b528e55295f3411ac0",
+    "denser hosts": "9d7d426253afdfb91d1cb6308ad7c333e6f97a509ed48d608e34ced168e5c999",
     "collections": "95e8780d47f4533f3d51ac59beca9f15e8a5057c93f26ae21bea9507e122564e",
 }
 
