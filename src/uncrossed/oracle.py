@@ -11,29 +11,36 @@ with a size estimate.
 The rotation search of one subset runs on integers. Darts are numbered by
 head vertex, and each candidate order of a vertex becomes, once per subset,
 a row of successor slots; a rotation system is a choice of one row per
-vertex. Faces are counted as cycles of that successor list and checked
-against Euler's count first; only a system that passes gets face masks:
-``embedding._face_ids`` numbers its faces, the bit of each face is ORed
-into the mask of every dart head on it, and an undrawn edge (u, v) is
-cofacial when ``mask[u] & mask[v]``. The orders of the last vertex are
-tried only after the faces closing among darts into the other vertices are
-counted: every remaining face runs through one of the last vertex's darts,
-so when that count plus its degree falls short of Euler's, none of its
-orders can succeed and all are skipped. The first admissible system found is
-the same as a plain ``itertools.product`` scan would find, and before it is
-returned it is traced again by ``PlaneDrawing``'s own dart tracer and
-checked by its ``euler_ok`` and ``violating_edges``; a disagreement raises
+vertex. The candidate orders of a sorted neighbour tuple, and for each order
+the position of every neighbour's successor, come from a table that lives
+for one ``enumerate_admissible`` call, so a subset's rows are index lookups
+into the slots of the darts out of each vertex. Faces are counted as cycles
+of that successor list and checked against Euler's count first; only a
+system that passes gets face masks: ``embedding._face_ids`` numbers its
+faces, the bit of each face is ORed into the mask of every dart head on it,
+and an undrawn edge (u, v) is cofacial when ``mask[u] & mask[v]``. The
+orders of the last vertex are tried only after the faces closing among
+darts into the other vertices are counted: every remaining face runs
+through one of the last vertex's darts, so when that count plus its degree
+falls short of Euler's, none of its orders can succeed and all are skipped.
+The first admissible system found is the same as a plain
+``itertools.product`` scan would find, and before it is returned it is
+traced again by ``PlaneDrawing``'s own dart tracer and checked by its
+``euler_ok`` and ``violating_edges``; a disagreement raises
 ``AssertionError``.
 
 The subset sweep searches only subsets that might be maximal members. Two
 twins (vertices u, v with N(u) - {v} = N(v) - {u}) can be swapped by an
 automorphism, and swaps within the twin classes give the whole group of K_n
 and K_{m,n} with m != n. When the kernel rejects a subset, its whole orbit
-under these swaps is rejected with it. When it accepts one, the witness is
-carried through the vertex map that reaches each other subset of the orbit,
-checked once with face masks, and kept until the sweep reaches that subset;
-so only the first member of each orbit (in sweep order) has the kernel's
-first witness in product order, and the others have a relabeled one.
+under these swaps is rejected with it. When it accepts one, every other
+subset of the orbit becomes a member when the sweep reaches it, recorded as
+its edge mask with the kernel's witness and the vertex map that carries the
+witness onto it. Such a member is drawn, and traced again through the same
+check as a kernel witness, only when a caller reads its drawing: h, ecr and
+the ``mus`` decision read masks alone, and unc draws only its cover. So only
+the first member of each orbit (in sweep order) has the kernel's first
+witness in product order, and the others have a relabeled one.
 
 An admissible set stays planar with any one undrawn edge added, drawn
 through the face its ends share, so a subset is skipped when one such
@@ -49,6 +56,7 @@ of the plain sweep.
 from __future__ import annotations
 
 import itertools
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import ceil
 
@@ -62,21 +70,38 @@ from .graph import Graph, edges_connected, is_connected, normalize_edge
 
 @dataclass(frozen=True)
 class AdmissibleFamily:
-    """All maximal admissible edge sets of a host, as their witness drawings.
+    """All maximal admissible edge sets of a host, each with its witness.
 
-    A member's edge set is its ``drawn``. ``members`` is ordered by decreasing
-    size, then lexicographically; every admissible set of the host is a
-    subset of some member's (admissibility is closed under deleting edges
-    while connectivity allows). ``firsts`` holds the indices of the members
-    that the kernel searched, the first of each twin-swap orbit.
+    ``masks`` holds each member's edge set as a bitmask over
+    ``host.sorted_edges``, ordered by decreasing size, then lexicographically
+    by sorted edge list; every admissible set of the host is a subset of
+    some member's (admissibility is closed under deleting edges while
+    connectivity allows). ``recipes`` says how to draw each member: the
+    kernel's witness and None, or, for a member reached through twin swaps,
+    the witness of its orbit's first member and the vertex map that carries
+    it onto this one. ``drawing(i)`` draws member i, checked by the face
+    tracer, each time it is read, and ``members`` draws them all. ``firsts``
+    holds the indices of the members that the kernel searched, the first of
+    each twin-swap orbit.
     """
 
     host: Graph
-    members: tuple  # tuple[PlaneDrawing, ...]
+    masks: tuple  # tuple[int, ...]
+    recipes: tuple  # tuple[tuple[PlaneDrawing, tuple | None], ...]
     firsts: tuple
 
+    def drawing(self, i: int) -> PlaneDrawing:
+        """Member i's witness drawing."""
+        witness, vmap = self.recipes[i]
+        return witness if vmap is None else _relabeled(self.host, witness, vmap)
+
+    @property
+    def members(self) -> tuple:  # tuple[PlaneDrawing, ...]
+        """Every member's witness drawing, in member order."""
+        return tuple(map(self.drawing, range(len(self.masks))))
+
     def sizes(self) -> tuple:
-        return tuple(len(d.drawn) for d in self.members)
+        return tuple(mask.bit_count() for mask in self.masks)
 
     def max_size(self) -> int:
         return max(self.sizes(), default=0)
@@ -100,6 +125,28 @@ def _cyclic_orders(neighbors: tuple, quotient_reflection: bool):
         yield (first,) + perm
 
 
+# the order table of the sweep in progress; outside a sweep each kernel call
+# builds its own
+_ORDER_TABLE: ContextVar = ContextVar("order_table", default=None)
+
+
+def _orders(table: dict, neighbors: tuple, pivot: bool) -> tuple:
+    """(orders, successors): the candidate cyclic orders of a sorted
+    neighbour tuple, and for each order the position in ``neighbors`` of the
+    neighbour that follows each neighbour, read from ``table`` or added."""
+    key = (neighbors, pivot)
+    got = table.get(key)
+    if got is None:
+        at = {u: i for i, u in enumerate(neighbors)}
+        orders = tuple(_cyclic_orders(neighbors, pivot))
+        successors = []
+        for order in orders:
+            after = dict(zip(order, order[1:] + order[:1]))
+            successors.append(tuple(at[after[u]] for u in neighbors))
+        got = table[key] = (orders, tuple(successors))
+    return got
+
+
 def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
     """(first admissible drawing or None, whether the subset is planar).
 
@@ -108,6 +155,9 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
     A subset is planar when some system reaches Euler's face count; when no
     system is admissible the scan is exhaustive, so the flag is exact.
     """
+    table = _ORDER_TABLE.get()
+    if table is None:
+        table = {}
     n = host.n
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted(edges):
@@ -117,38 +167,36 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
     pivot = max(range(n), key=lambda v: len(neighbors[v]))
     undrawn = sorted(host.edges - edges)
     e = len(edges)
-    cand = [list(_cyclic_orders(neighbors[v], v == pivot)) for v in range(n)]
+    cand, after = zip(*(_orders(table, nb, v == pivot)
+                        for v, nb in enumerate(neighbors)))
     # dart (u, v) lives in slot off[v] + position of u in neighbors[v]
     off = [0]
     for nb in neighbors:
         off.append(off[-1] + len(nb))
     slot = [{u: off[v] + i for i, u in enumerate(nb)} for v, nb in enumerate(neighbors)]
     head = [v for v, nb in enumerate(neighbors) for _ in nb]
-    # row of an order at v: the slot of the dart that follows each dart into v
-    rows = []
-    for v, nb in enumerate(neighbors):
-        vrows = []
-        for order in cand[v]:
-            after = dict(zip(order, order[1:] + order[:1]))
-            vrows.append(tuple(slot[after[u]][v] for u in nb))
-        rows.append(vrows)
+    # the slots of the darts out of each vertex, in neighbour order; the row
+    # of an order at v gives the slot of the dart that follows each dart
+    # into v, the dart out of v to that dart's successor
+    outs = [[slot[w][v] for w in nb] for v, nb in enumerate(neighbors)]
     last = n - 1
+    rows = [[[out[j] for j in nxt] for nxt in after[v]]
+            for v, out in enumerate(outs[:last])]
     low = off[last]
     target = 2 - n + e
 
-    # darts out of the last vertex; its rows say, for each dart into it,
-    # which of these follows
-    outs = [slot[w][last] for w in neighbors[last]]
-    last_rows = [[outs.index(t) for t in row] for row in rows[last]]
+    # the last vertex's rows stay positions in its outs: for each dart into
+    # it, which dart out of it follows
+    last_outs, last_rows = outs[last], after[last]
     planar = False
-    for prefix in itertools.product(*rows[:last]):
+    for prefix in itertools.product(*rows):
         succ = list(itertools.chain.from_iterable(prefix))
         # each dart out of the last vertex starts a path through darts into
         # vertices < last that ends at a dart into the last vertex; every
         # other face closes among darts into vertices < last
         seen = bytearray(low)
         exits = []
-        for t in outs:
+        for t in last_outs:
             cur = t
             while cur < low:
                 seen[cur] = 1
@@ -164,12 +212,12 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
                 seen[cur] = 1
                 cur = succ[cur]
         # the faces through the last vertex number at most its degree
-        if (closed + len(outs) or 1) < target:
+        if (closed + len(last_outs) or 1) < target:
             continue
-        for row, lrow in zip(rows[last], last_rows):
+        for order, lrow in zip(cand[last], last_rows):
             faces = closed
             done = 0
-            for i in range(len(outs)):
+            for i in range(len(last_outs)):
                 if done >> i & 1:
                     continue
                 faces += 1
@@ -180,7 +228,7 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
             if (faces or 1) != target:
                 continue
             planar = True
-            succ[low:] = row
+            succ[low:] = [last_outs[j] for j in lrow]
             face, _ = _face_ids(succ)
             mask = [0] * n
             for v, f in zip(head, face):
@@ -188,8 +236,8 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
             if not all(mask[u] & mask[v] for u, v in undrawn):
                 continue
             rotation = tuple(
-                cand[v][rows[v].index(r)] for v, r in enumerate(prefix + (row,))
-            )
+                cand[v][rows[v].index(r)] for v, r in enumerate(prefix)
+            ) + (order,)
             return _confirm(PlaneDrawing(host, edges, rotation)), True
     return None, planar
 
@@ -262,7 +310,7 @@ def _relabeled(host: Graph, witness: PlaneDrawing, vmap: tuple) -> PlaneDrawing:
 
 
 def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
-    """All maximal admissible edge sets of a connected host, as drawings.
+    """All maximal admissible edge sets of a connected host.
 
     Works down from the largest candidate size, one level at a time. A
     subset is skipped unsearched when a one-edge extension of it is settled
@@ -273,9 +321,9 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     otherwise, and the twin-swap orbit of a subset the kernel rejects is
     rejected with it. Members come in the plain sweep's order. The first
     member of each twin-swap orbit gets the kernel's first witness; the
-    other members of the orbit get that witness relabeled through the
-    swaps, each checked once with face masks. ``cap`` bounds the host edge
-    count this is willing to process at all.
+    other members of the orbit get that witness and the vertex map that
+    relabels it through the swaps, and are drawn only when read. ``cap``
+    bounds the host edge count this is willing to process at all.
     """
     if host.n == 0:
         raise ValueError("oracle requires a host with at least one vertex")
@@ -303,53 +351,60 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
         upper = bound - 1
     lower = n - 1
     swaps = _twin_swaps(host)
-    found: list = []  # witness drawings
-    firsts: list = []  # indices in found of the kernel's members
-    # relabeled witnesses of members not reached yet, by mask
+    masks: list = []  # member edge masks, in sweep order
+    recipes: list = []  # (witness, vertex map or None) per member
+    firsts: list = []  # indices in masks of the kernel's members
+    # the recipes of orbit members not reached yet, by mask
     images: dict = {}
     # what is settled about the masks of one level: True for members and
     # their subsets, False for non-planar rejected orbits, None for the
     # other rejected orbits; ``above`` is the level one edge larger
     above: dict = {}
-    for k in range(upper, lower - 1, -1):
-        known: dict = {}
-        for combo in itertools.combinations(bits, k):
-            mask = sum(combo)
-            if mask in known:  # the orbit of a rejected subset
-                continue
-            if mask in images:  # the orbit of a member
-                found.append(images.pop(mask))
-                known[mask] = True
-                continue
-            # an extension inside a member makes this subset non-maximal, a
-            # non-planar one makes it inadmissible
-            rest = full ^ mask
-            while rest:
-                low = rest & -rest
-                settled = above.get(mask | low)
-                if settled is not None:
-                    if settled:
-                        known[mask] = True
-                    break
-                rest ^= low
-            if rest:
-                continue
-            subset = frozenset(edge_list[b.bit_length() - 1] for b in combo)
-            if not edges_connected(n, subset):
-                continue
-            witness, planar = _admissible_witness(host, subset)
-            orbit = _orbit(mask, swaps, n)
-            if witness is not None:
-                firsts.append(len(found))
-                found.append(witness)
-                known[mask] = True
-                del orbit[mask]
-                for image, vmap in orbit.items():
-                    images[image] = _relabeled(host, witness, vmap)
-            else:
-                known.update(dict.fromkeys(orbit, None if planar else False))
-        above = known
-    return AdmissibleFamily(host, tuple(found), tuple(firsts))
+    token = _ORDER_TABLE.set({})
+    try:
+        for k in range(upper, lower - 1, -1):
+            known: dict = {}
+            for combo in itertools.combinations(bits, k):
+                mask = sum(combo)
+                if mask in known:  # the orbit of a rejected subset
+                    continue
+                if mask in images:  # the orbit of a member
+                    masks.append(mask)
+                    recipes.append(images.pop(mask))
+                    known[mask] = True
+                    continue
+                # an extension inside a member makes this subset
+                # non-maximal, a non-planar one makes it inadmissible
+                rest = full ^ mask
+                while rest:
+                    low = rest & -rest
+                    settled = above.get(mask | low)
+                    if settled is not None:
+                        if settled:
+                            known[mask] = True
+                        break
+                    rest ^= low
+                if rest:
+                    continue
+                subset = frozenset(edge_list[b.bit_length() - 1] for b in combo)
+                if not edges_connected(n, subset):
+                    continue
+                witness, planar = _admissible_witness(host, subset)
+                orbit = _orbit(mask, swaps, n)
+                if witness is not None:
+                    firsts.append(len(masks))
+                    masks.append(mask)
+                    recipes.append((witness, None))
+                    known[mask] = True
+                    del orbit[mask]
+                    for image, vmap in orbit.items():
+                        images[image] = (witness, vmap)
+                else:
+                    known.update(dict.fromkeys(orbit, None if planar else False))
+            above = known
+    finally:
+        _ORDER_TABLE.reset(token)
+    return AdmissibleFamily(host, tuple(masks), tuple(recipes), tuple(firsts))
 
 
 def exact_h(host: Graph, *, family: AdmissibleFamily | None = None, cap: int = 12) -> int:
@@ -372,9 +427,10 @@ def max_uncrossed_subgraph(
     """(True, witness edge set) when some admissible set has >= k edges."""
     if family is None:
         family = enumerate_admissible(host, cap=cap)
-    for d in family.members:
-        if len(d.drawn) >= k:
-            return True, d.drawn
+    edge_list = family.host.sorted_edges
+    for mask in family.masks:
+        if mask.bit_count() >= k:
+            return True, frozenset(e for i, e in enumerate(edge_list) if mask >> i & 1)
     return False, None
 
 
@@ -394,15 +450,9 @@ def exact_unc(
         family = enumerate_admissible(host, cap=cap)
     if host.m == 0:
         # a lone vertex still takes one (empty) drawing
-        return 1, UncrossedCertificate(host, (family.members[0],))
-    edge_index = host.edge_index
+        return 1, UncrossedCertificate(host, (family.drawing(0),))
     universe = (1 << host.m) - 1
-    masks = []
-    for d in family.members:
-        mask = 0
-        for e in d.drawn:
-            mask |= 1 << edge_index[e]
-        masks.append(mask)
+    masks = family.masks
     h = family.max_size()
 
     def search(limit: int, start: int, covered: int, chosen: list) -> list | None:
@@ -427,6 +477,6 @@ def exact_unc(
         for i in family.firsts:
             got = search(limit, i + 1, masks[i], [i])
             if got is not None:
-                cert = UncrossedCertificate(host, tuple(family.members[j] for j in got))
+                cert = UncrossedCertificate(host, tuple(map(family.drawing, got)))
                 return limit, cert
     raise AssertionError("maximal members always cover the host")

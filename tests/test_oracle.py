@@ -8,8 +8,10 @@ carry frozen values.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import itertools
 import random
 import tracemalloc
@@ -28,6 +30,7 @@ from uncrossed import (
     exact_ecr,
     exact_h,
     exact_unc,
+    format_edge_list,
     h_complete,
     h_complete_bipartite,
     is_planar_graph,
@@ -131,17 +134,18 @@ def test_unc_lower_bound_consistency():
 
 def _hand_family(host, edge_sets) -> AdmissibleFamily:
     """A family whose members are the given edge sets, in the oracle's order
-    (decreasing size, then lexicographic). The cover search reads only the
-    members' edges, so each witness is its edge set drawn with sorted
-    neighbour lists."""
-    members = []
+    (decreasing size, then lexicographic), each its own orbit's first. The
+    cover search reads only the members' masks, so each witness is its edge
+    set drawn with sorted neighbour lists."""
+    masks, recipes = [], []
     for edges in sorted({frozenset(s) for s in edge_sets}, key=lambda e: (-len(e), sorted(e))):
         rotation = [[] for _ in range(host.n)]
         for u, v in sorted(edges):
             rotation[u].append(v)
             rotation[v].append(u)
-        members.append(PlaneDrawing(host, edges, rotation))
-    return AdmissibleFamily(host, tuple(members), tuple(range(len(members))))
+        masks.append(sum(1 << host.edge_index[e] for e in edges))
+        recipes.append((PlaneDrawing(host, edges, rotation), None))
+    return AdmissibleFamily(host, tuple(masks), tuple(recipes), tuple(range(len(masks))))
 
 
 def _min_set_cover(universe: frozenset, sets) -> int:
@@ -460,11 +464,68 @@ def test_cover_search_from_orbit_firsts_finds_the_least_cover():
              complete_bipartite(3, 5)]
     for host in hosts:
         fam = enumerate_admissible(host, cap=host.m)
-        assert fam.firsts and len(fam.firsts) < len(fam.members)
-        everyone = dataclasses.replace(fam, firsts=tuple(range(len(fam.members))))
+        assert fam.firsts and len(fam.firsts) < len(fam.masks)
+        everyone = dataclasses.replace(fam, firsts=tuple(range(len(fam.masks))))
         (u, cert), (u_all, cert_all) = exact_unc(host, family=fam), exact_unc(host, family=everyone)
         assert u == u_all
         assert [d.rotation for d in cert.drawings] == [d.rotation for d in cert_all.drawings]
+
+
+def _k33_plus_relabeled(rng):
+    """The nine hosts of K33_PLUS, each under a seeded random relabeling."""
+    return [_relabeled(rng, host.n, host.sorted_edges)
+            for host in map(_k33_plus, K33_PLUS)]
+
+
+def test_only_the_cover_is_drawn(monkeypatch, tmp_path):
+    import uncrossed.oracle as orc
+    from uncrossed.cli import run
+
+    drawn = []
+    relabel = orc._relabeled
+
+    def counting(host, witness, vmap):
+        drawn.append(vmap)
+        return relabel(host, witness, vmap)
+
+    monkeypatch.setattr(orc, "_relabeled", counting)
+    rng = random.Random(28)
+    hosts = [complete_bipartite(3, 4)] + _k33_plus_relabeled(rng)[:2]
+    for i, host in enumerate(hosts):
+        fam = enumerate_admissible(host)
+        # h, ecr and the mus decision read the members' masks alone
+        assert exact_h(host, family=fam) == fam.max_size()
+        assert exact_ecr(host, family=fam) == host.m - fam.max_size()
+        ok, witness = max_uncrossed_subgraph(host, fam.max_size(), family=fam)
+        assert ok and len(witness) == fam.max_size()
+        assert drawn == []
+        u, cert = exact_unc(host, family=fam)
+        assert 0 < len(drawn) <= cert.size == u
+        drawn.clear()
+        path = tmp_path / f"host{i}.txt"
+        path.write_text(format_edge_list(host))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert run(["oracle", "unc", "--graph", str(path)]) == 0
+        assert out.getvalue() == f"unc = {u}\n"
+        assert len(drawn) <= cert.size
+        drawn.clear()
+
+
+def test_member_masks_agree_with_their_drawings():
+    import uncrossed.oracle as orc
+
+    hosts = [complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4),
+             complete_bipartite(3, 5)] + _k33_plus_relabeled(random.Random(29))
+    for host in hosts:
+        fam = enumerate_admissible(host, cap=host.m)
+        # the sweep's order table lives only for its own call
+        assert orc._ORDER_TABLE.get() is None
+        drawings = fam.members
+        assert len(drawings) == len(fam.masks) == len(fam.recipes)
+        for mask, d in zip(fam.masks, drawings):
+            assert mask == sum(1 << host.edge_index[e] for e in d.drawn), host.edges
+        assert fam.sizes() == tuple(len(d.drawn) for d in drawings)
 
 
 def test_sweep_starts_below_the_planar_edge_bound(monkeypatch):
