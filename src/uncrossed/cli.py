@@ -308,8 +308,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_render(args) -> int:
     cert = parse_certificate(_read(args.cert))
     spec = RenderSpec(layout=args.layout, format=args.format)
-    obj = cert.drawings[0] if cert.size == 1 else cert
-    _write_out(render(obj, spec), args.output)
+    _write_out(render(cert, spec), args.output)
     return 0
 
 

@@ -26,7 +26,8 @@ general planarity test ``is_planar_graph``. ``OuterBuilder`` places such
 components around one shared outer region and joins them by bridges through
 it; its rotation is the one record of what is drawn, and ``build`` reads the
 drawn edges off it. Components are tracked with ``graph._find`` over a dict
-of the vertices placed so far. ``outerplanar_extension`` bridges in one pass
+of the vertices placed so far, with their ``count``; ``root(v)`` is the
+lowest vertex of v's component. ``outerplanar_extension`` bridges in one pass
 over the host's sorted edges, and the reduction witnesses grow the builder
 that checked their input's outerplanarity.
 """
@@ -519,7 +520,7 @@ def is_outerplanar(g: Graph) -> tuple:
         builder.add_outerplanar(g.n, g.sorted_edges)
     except NotOuterplanarError:
         return False, None
-    if len(builder.components()) != 1:
+    if builder.count != 1:
         # every component passed, but there is no single witness drawing
         return True, None
     return True, builder.build(g)
@@ -538,7 +539,7 @@ class OuterBuilder:
     v is in ``rotation[u]``. ``outer`` holds the darts on the shared face, and
     ``anchor[v]`` names a neighbour a whose dart (a, v) is one of them, so a
     new edge at v goes in right after a. Every method keeps that anchor dart
-    in ``outer``.
+    in ``outer``. ``count`` is the number of components placed.
     """
 
     def __init__(self):
@@ -546,17 +547,24 @@ class OuterBuilder:
         self.outer: dict[Dart, None] = {}  # insertion-ordered dart set
         self.anchor: dict[int, int] = {}  # v -> a with (a, v) on the outer face
         self._parent: dict[int, int] = {}
+        self.count = 0
+
+    def root(self, v: int) -> int:
+        """The lowest vertex of v's component: unions keep the lower root."""
+        return _find(self._parent, v)
 
     def _union(self, x: int, y: int):
-        rx, ry = _find(self._parent, x), _find(self._parent, y)
+        rx, ry = self.root(x), self.root(y)
         if rx != ry:
             self._parent[max(rx, ry)] = min(rx, ry)
+            self.count -= 1
 
     def add_vertex(self, v: int):
         if v in self.rotation:
             raise ValueError(f"vertex {v} already placed")
         self.rotation[v] = []
         self._parent[v] = v
+        self.count += 1
 
     def add_component(self, rotation: dict, outer_walk: list):
         """Place a pre-embedded component; outer_walk darts face the shared region."""
@@ -567,6 +575,7 @@ class OuterBuilder:
             self.rotation[v] = list(rotation[v])
         # one tree rooted at the lowest vertex, as _union would leave it
         self._parent.update(dict.fromkeys(verts, verts[0]))
+        self.count += 1
         for a, b in outer_walk:
             self.outer[(a, b)] = None
             self.anchor.setdefault(b, a)
@@ -591,12 +600,6 @@ class OuterBuilder:
             else:
                 self.add_component(*_embed_component_outerplanar(comp, adj))
 
-    def components(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for v in self.rotation:
-            groups.setdefault(_find(self._parent, v), []).append(v)
-        return [sorted(groups[r]) for r in sorted(groups)]
-
     def _insert_after_anchor(self, v: int, w: int):
         """Insert neighbor w into the rotation of v at an outer corner. The
         anchor is last when bridges at v come one after another, as from a
@@ -612,7 +615,7 @@ class OuterBuilder:
         for x in (u, v):
             if x not in self.rotation:
                 self.add_vertex(x)
-        if _find(self._parent, u) == _find(self._parent, v):
+        if self.root(u) == self.root(v):
             raise ValueError(f"bridge ({u}, {v}) would close a cycle")
         self._insert_after_anchor(u, v)
         self._insert_after_anchor(v, u)
@@ -640,8 +643,9 @@ class OuterBuilder:
         j = rv.index(u)
         self.rotation[v] = rv[:j] + list(reversed(mids)) + rv[j + 1 :]
         for x in mids:
+            if x not in self.rotation:
+                self.add_vertex(x)
             self.rotation[x] = [u, v]
-            self._parent[x] = x
             self._union(u, x)
         first, last = mids[0], mids[-1]
         if (u, v) in self.outer:
@@ -686,13 +690,11 @@ def outerplanar_extension(host: Graph, edges) -> PlaneDrawing:
     builder.add_outerplanar(host.n, edge_set)
     # connect through the outer region using host edges; one pass suffices,
     # since after it both ends of every host edge share a component
-    left = len(builder.components())
     for u, v in host.sorted_edges:
-        if left <= 1:
+        if builder.count <= 1:
             break
-        if _find(builder._parent, u) != _find(builder._parent, v):
+        if builder.root(u) != builder.root(v):
             builder.add_bridge(u, v)
-            left -= 1
-    if left > 1:
+    if builder.count > 1:
         raise ValueError("host graph is not connected")
     return builder.build(host)

@@ -109,20 +109,10 @@ def unc_lower_bound_density(n: int, m: int) -> int:
         raise ValueError("need at least 3 vertices")
     if not 1 <= m <= n * (n - 1) // 2:
         raise ValueError("edge count out of range")
+    # m / density_f = (a - sqrt(d)) / 2 with d = a^2 - 4m, whose ceiling is
+    # (a - isqrt(d) + 1) // 2 whether or not d is a perfect square
     a = 3 * n - 5
-    disc = a * a - 4 * m
-
-    def enough(k: int) -> bool:
-        # k * (a + sqrt(disc)) / 2 >= m  without floating point
-        rhs = 2 * m - k * a
-        if rhs <= 0:
-            return True
-        return k * k * disc >= rhs * rhs
-
-    k = max(1, math.floor(m / density_f(n, m)) - 1)
-    while not enough(k):
-        k += 1
-    return k
+    return max(1, (a - math.isqrt(a * a - 4 * m) + 1) // 2)
 
 
 def unc_lower_bound_h(m: int, h: int) -> int:

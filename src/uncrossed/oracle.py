@@ -12,22 +12,21 @@ The rotation search of one subset runs on integers. Darts are numbered by
 head vertex, and each candidate order of a vertex becomes, once per subset,
 a row of successor slots; a rotation system is a choice of one row per
 vertex. The candidate orders of a sorted neighbour tuple, and for each order
-the position of every neighbour's successor, come from a table that lives
-for one ``enumerate_admissible`` call, so a subset's rows are index lookups
-into the slots of the darts out of each vertex. Faces are counted as cycles
-of that successor list and checked against Euler's count first; only a
-system that passes gets face masks: ``embedding._face_ids`` numbers its
-faces, the bit of each face is ORed into the mask of every dart head on it,
-and an undrawn edge (u, v) is cofacial when ``mask[u] & mask[v]``. The
-orders of the last vertex are tried only after the faces closing among
-darts into the other vertices are counted: every remaining face runs
-through one of the last vertex's darts, so when that count plus its degree
-falls short of Euler's, none of its orders can succeed and all are skipped.
-The first admissible system found is the same as a plain
-``itertools.product`` scan would find, and before it is returned it is
-traced again by ``PlaneDrawing``'s own dart tracer and checked by its
-``euler_ok`` and ``violating_edges``; a disagreement raises
-``AssertionError``.
+the position of every neighbour's successor, come from a table that
+``enumerate_admissible`` creates and passes to each kernel call of its
+sweep, so a subset's rows are index lookups into the slots of the darts out
+of each vertex. Faces are counted as cycles of that successor list and
+checked against Euler's count first; only a system that passes gets face
+masks: ``embedding._face_ids`` numbers its faces, the bit of each face is
+ORed into the mask of every dart head on it, and an undrawn edge (u, v) is
+cofacial when ``mask[u] & mask[v]``. The orders of the last vertex are
+tried only after the faces closing among darts into the other vertices are
+counted: every remaining face runs through one of the last vertex's darts,
+so when that count plus its degree falls short of Euler's, none of its
+orders can succeed and all are skipped. The first admissible system found
+is the same as a plain ``itertools.product`` scan would find, and before it
+is returned the verifier, ``certify.verify_drawing``, checks it again from
+its rotation; a disagreement raises ``AssertionError``.
 
 The subset sweep searches only subsets that might be maximal members. Two
 twins (vertices u, v with N(u) - {v} = N(v) - {u}) can be swapped by an
@@ -36,8 +35,8 @@ and K_{m,n} with m != n. When the kernel rejects a subset, its whole orbit
 under these swaps is rejected with it. When it accepts one, every other
 subset of the orbit becomes a member when the sweep reaches it, recorded as
 its edge mask with the kernel's witness and the vertex map that carries the
-witness onto it. Such a member is drawn, and traced again through the same
-check as a kernel witness, only when a caller reads its drawing: h, ecr and
+witness onto it. Such a member is drawn, and checked again by the verifier
+as a kernel witness is, only when a caller reads its drawing: h, ecr and
 the ``mus`` decision read masks alone, and unc draws only its cover. So only
 the first member of each orbit (in sweep order) has the kernel's first
 witness in product order, and the others have a relabeled one.
@@ -56,11 +55,10 @@ of the plain sweep.
 from __future__ import annotations
 
 import itertools
-from contextvars import ContextVar
 from dataclasses import dataclass
 from math import ceil
 
-from .certify import UncrossedCertificate
+from .certify import UncrossedCertificate, verify_drawing
 from .embedding import PlaneDrawing, _face_ids
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .embedding import trace_rotation  # noqa: F401
@@ -79,8 +77,8 @@ class AdmissibleFamily:
     connectivity allows). ``recipes`` says how to draw each member: the
     kernel's witness and None, or, for a member reached through twin swaps,
     the witness of its orbit's first member and the vertex map that carries
-    it onto this one. ``drawing(i)`` draws member i, checked by the face
-    tracer, each time it is read, and ``members`` draws them all. ``firsts``
+    it onto this one. ``drawing(i)`` draws member i, checked by the
+    verifier, each time it is read, and ``members`` draws them all. ``firsts``
     holds the indices of the members that the kernel searched, the first of
     each twin-swap orbit.
     """
@@ -107,38 +105,26 @@ class AdmissibleFamily:
         return max(self.sizes(), default=0)
 
 
-def _cyclic_orders(neighbors: tuple, quotient_reflection: bool):
-    """All distinct cyclic orders of neighbors, first element pinned.
-
-    With quotient_reflection, orders lexicographically above their own
-    reversal are dropped: reflecting a whole rotation system mirrors the
-    drawing and changes nothing combinatorial, so one vertex may be used to
-    halve the search.
-    """
-    if len(neighbors) <= 2:
-        yield tuple(neighbors)
-        return
-    first, rest = neighbors[0], neighbors[1:]
-    for perm in itertools.permutations(rest):
-        if quotient_reflection and perm > perm[::-1]:
-            continue
-        yield (first,) + perm
-
-
-# the order table of the sweep in progress; outside a sweep each kernel call
-# builds its own
-_ORDER_TABLE: ContextVar = ContextVar("order_table", default=None)
-
-
 def _orders(table: dict, neighbors: tuple, pivot: bool) -> tuple:
     """(orders, successors): the candidate cyclic orders of a sorted
-    neighbour tuple, and for each order the position in ``neighbors`` of the
-    neighbour that follows each neighbour, read from ``table`` or added."""
+    neighbour tuple, first neighbour pinned, and for each order the position
+    in ``neighbors`` of the neighbour that follows each neighbour, read from
+    ``table`` or added.
+
+    At the pivot, orders lexicographically above their own reversal are
+    dropped: reflecting a whole rotation system mirrors the drawing and
+    changes nothing combinatorial, so one vertex may be used to halve the
+    search.
+    """
     key = (neighbors, pivot)
     got = table.get(key)
     if got is None:
+        orders = (neighbors,)
+        if len(neighbors) > 2:
+            first, rest = neighbors[0], neighbors[1:]
+            orders = tuple((first,) + perm for perm in itertools.permutations(rest)
+                           if not (pivot and perm > perm[::-1]))
         at = {u: i for i, u in enumerate(neighbors)}
-        orders = tuple(_cyclic_orders(neighbors, pivot))
         successors = []
         for order in orders:
             after = dict(zip(order, order[1:] + order[:1]))
@@ -147,17 +133,16 @@ def _orders(table: dict, neighbors: tuple, pivot: bool) -> tuple:
     return got
 
 
-def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
+def _admissible_witness(host: Graph, edges: frozenset, table: dict) -> tuple:
     """(first admissible drawing or None, whether the subset is planar).
 
     Rotation systems are visited in ``itertools.product`` order over the
     per-vertex candidate orders, so the first admissible one is returned.
     A subset is planar when some system reaches Euler's face count; when no
     system is admissible the scan is exhaustive, so the flag is exact.
+    ``table`` caches ``_orders`` across calls; the sweep passes one table
+    to each of its calls.
     """
-    table = _ORDER_TABLE.get()
-    if table is None:
-        table = {}
     n = host.n
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted(edges):
@@ -243,8 +228,8 @@ def _admissible_witness(host: Graph, edges: frozenset) -> tuple:
 
 
 def _confirm(d: PlaneDrawing) -> PlaneDrawing:
-    """Re-check a kernel witness with the drawing's own face tracer."""
-    if not d.euler_ok or d.violating_edges():
+    """Re-check a kernel witness with the verifier."""
+    if not verify_drawing(d.host, d).ok:
         raise AssertionError(f"face tracer rejects the kernel's rotation {d.rotation}")
     return d
 
@@ -360,50 +345,47 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     # their subsets, False for non-planar rejected orbits, None for the
     # other rejected orbits; ``above`` is the level one edge larger
     above: dict = {}
-    token = _ORDER_TABLE.set({})
-    try:
-        for k in range(upper, lower - 1, -1):
-            known: dict = {}
-            for combo in itertools.combinations(bits, k):
-                mask = sum(combo)
-                if mask in known:  # the orbit of a rejected subset
-                    continue
-                if mask in images:  # the orbit of a member
-                    masks.append(mask)
-                    recipes.append(images.pop(mask))
-                    known[mask] = True
-                    continue
-                # an extension inside a member makes this subset
-                # non-maximal, a non-planar one makes it inadmissible
-                rest = full ^ mask
-                while rest:
-                    low = rest & -rest
-                    settled = above.get(mask | low)
-                    if settled is not None:
-                        if settled:
-                            known[mask] = True
-                        break
-                    rest ^= low
-                if rest:
-                    continue
-                subset = frozenset(edge_list[b.bit_length() - 1] for b in combo)
-                if not edges_connected(n, subset):
-                    continue
-                witness, planar = _admissible_witness(host, subset)
-                orbit = _orbit(mask, swaps, n)
-                if witness is not None:
-                    firsts.append(len(masks))
-                    masks.append(mask)
-                    recipes.append((witness, None))
-                    known[mask] = True
-                    del orbit[mask]
-                    for image, vmap in orbit.items():
-                        images[image] = (witness, vmap)
-                else:
-                    known.update(dict.fromkeys(orbit, None if planar else False))
-            above = known
-    finally:
-        _ORDER_TABLE.reset(token)
+    table: dict = {}  # candidate orders, shared by every kernel call
+    for k in range(upper, lower - 1, -1):
+        known: dict = {}
+        for combo in itertools.combinations(bits, k):
+            mask = sum(combo)
+            if mask in known:  # the orbit of a rejected subset
+                continue
+            if mask in images:  # the orbit of a member
+                masks.append(mask)
+                recipes.append(images.pop(mask))
+                known[mask] = True
+                continue
+            # an extension inside a member makes this subset non-maximal,
+            # a non-planar one makes it inadmissible
+            rest = full ^ mask
+            while rest:
+                low = rest & -rest
+                settled = above.get(mask | low)
+                if settled is not None:
+                    if settled:
+                        known[mask] = True
+                    break
+                rest ^= low
+            if rest:
+                continue
+            subset = frozenset(edge_list[b.bit_length() - 1] for b in combo)
+            if not edges_connected(n, subset):
+                continue
+            witness, planar = _admissible_witness(host, subset, table)
+            orbit = _orbit(mask, swaps, n)
+            if witness is not None:
+                firsts.append(len(masks))
+                masks.append(mask)
+                recipes.append((witness, None))
+                known[mask] = True
+                del orbit[mask]
+                for image, vmap in orbit.items():
+                    images[image] = (witness, vmap)
+            else:
+                known.update(dict.fromkeys(orbit, None if planar else False))
+        above = known
     return AdmissibleFamily(host, tuple(masks), tuple(recipes), tuple(firsts))
 
 

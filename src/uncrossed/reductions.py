@@ -95,13 +95,10 @@ def reduce_ot_to_unc(g: Graph, k: int) -> ReductionInstance:
 
 
 def _component_reps(builder: OuterBuilder, n: int) -> list:
-    """Smallest source vertex of each builder component, ascending."""
-    reps = []
-    for comp in builder.components():
-        src = [v for v in comp if v < n]
-        if src:
-            reps.append(src[0])
-    return sorted(reps)
+    """Smallest source vertex of each builder component, ascending. Source
+    vertices have the lowest ids, so a component's root, its lowest vertex,
+    is its smallest source vertex."""
+    return sorted({builder.root(v) for v in range(n)})
 
 
 def ecr_forward_witness(inst: ReductionInstance, h_edges) -> PlaneDrawing:

@@ -30,22 +30,20 @@ LAYOUTS = ("auto", "radial-wheel", "bipartite-circular", "tutte-barycentric")
 FORMATS = ("svg", "dot")
 _CG_TOL = 1e-14  # relative residual at which a barycentric solve stops
 _CG_MAX_STEPS = 100_000  # ends only a solve that rounding stalls
+_WIDTH = 420  # side of one drawing's square panel
+_MARGIN = 34.0  # between the panel's edge and the outermost vertex
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     layout: str = "auto"
     format: str = "svg"
-    width: int = 420
-    labels: bool = True
 
     def __post_init__(self):
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.format not in FORMATS:
             raise ValueError(f"unknown format {self.format!r}")
-        if self.width < 40:
-            raise ValueError("width below a drawable size")
 
 
 def _circle_positions(d: PlaneDrawing) -> dict:
@@ -269,16 +267,16 @@ def _positions(d: PlaneDrawing, layout: str) -> dict:
     return pos or _tutte_positions(d)
 
 
-def _fit(pos: dict, width: int, margin: float = 34.0) -> dict:
+def _fit(pos: dict) -> dict:
     xs = [p[0] for p in pos.values()]
     ys = [p[1] for p in pos.values()]
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     span = max(hi_x - lo_x, hi_y - lo_y, 1e-9)
-    scale = (width - 2 * margin) / span
+    scale = (_WIDTH - 2 * _MARGIN) / span
     cx, cy = (lo_x + hi_x) / 2, (lo_y + hi_y) / 2
     return {
-        v: (width / 2 + (x - cx) * scale, width / 2 + (y - cy) * scale)
+        v: (_WIDTH / 2 + (x - cx) * scale, _WIDTH / 2 + (y - cy) * scale)
         for v, (x, y) in pos.items()
     }
 
@@ -295,12 +293,11 @@ def _undrawn_route(d: PlaneDrawing, u: int, v: int, pos: dict, centroids: list):
 
 
 def _svg_panel(d: PlaneDrawing, spec: RenderSpec, offset_x: float, title: str) -> list:
-    w = spec.width
-    pos = _fit(_positions(d, spec.layout), w)
+    pos = _fit(_positions(d, spec.layout))
     parts = [f'<g transform="translate({offset_x:.1f},0)">']
     if title:
         parts.append(
-            f'<text x="{w / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-size="13" fill="#444">{title}</text>'
         )
     undrawn = d.undrawn
@@ -338,28 +335,26 @@ def _svg_panel(d: PlaneDrawing, spec: RenderSpec, offset_x: float, title: str) -
             f'<circle cx="{x:.1f}" cy="{y:.1f}" r="9" fill="{fill}" '
             f'stroke="{stroke}" stroke-width="1.2"/>'
         )
-        if spec.labels:
-            parts.append(
-                f'<text x="{x:.1f}" y="{y + 3.5:.1f}" text-anchor="middle" '
-                f'font-size="9" fill="{text_fill}">{v}</text>'
-            )
+        parts.append(
+            f'<text x="{x:.1f}" y="{y + 3.5:.1f}" text-anchor="middle" '
+            f'font-size="9" fill="{text_fill}">{v}</text>'
+        )
     parts.append("</g>")
     return parts
 
 
 def _render_svg(drawings, spec: RenderSpec) -> str:
-    w = spec.width
     gap = 12
-    total_w = len(drawings) * w + (len(drawings) - 1) * gap
+    total_w = len(drawings) * _WIDTH + (len(drawings) - 1) * gap
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{total_w}" '
-        f'height="{w}" viewBox="0 0 {total_w} {w}" '
+        f'height="{_WIDTH}" viewBox="0 0 {total_w} {_WIDTH}" '
         f'font-family="sans-serif">',
-        f'<rect width="{total_w}" height="{w}" fill="#fafafa"/>',
+        f'<rect width="{total_w}" height="{_WIDTH}" fill="#fafafa"/>',
     ]
     for i, d in enumerate(drawings):
         title = f"drawing {i + 1} of {len(drawings)}" if len(drawings) > 1 else ""
-        parts.extend(_svg_panel(d, spec, i * (w + gap), title))
+        parts.extend(_svg_panel(d, spec, i * (_WIDTH + gap), title))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -367,7 +362,7 @@ def _render_svg(drawings, spec: RenderSpec) -> str:
 def _render_dot(drawings, spec: RenderSpec) -> str:
     out = []
     for i, d in enumerate(drawings):
-        pos = _fit(_positions(d, spec.layout), spec.width)
+        pos = _fit(_positions(d, spec.layout))
         out.append(f"graph drawing_{i + 1} {{")
         out.append("  layout=neato;")
         out.append('  node [shape=circle, fixedsize=true, width=0.3, fontsize=9];')

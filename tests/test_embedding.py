@@ -324,9 +324,11 @@ def test_outer_builder_bridges_components():
     b = OuterBuilder()
     b.add_component(*_triangle_rotation(0, 1, 2))
     b.add_component(*_triangle_rotation(3, 4, 5))
-    assert b.components() == [[0, 1, 2], [3, 4, 5]]
+    assert b.count == 2
+    assert [b.root(v) for v in range(6)] == [0, 0, 0, 3, 3, 3]
     b.add_bridge(2, 3)
-    assert b.components() == [[0, 1, 2, 3, 4, 5]]
+    assert b.count == 1
+    assert [b.root(v) for v in range(6)] == [0] * 6
     d = b.build(host)
     assert is_planar_embedding(d)
     for u, v in sorted(d.undrawn):
@@ -344,6 +346,42 @@ def test_outer_builder_expand_edge_keeps_admissibility():
     assert is_planar_embedding(d)
     assert d.undrawn == ((0, 1),)
     assert cofacial(d, 0, 1)
+
+
+def test_outer_builder_counts_components_and_roots():
+    # random placements, bridges and edge expansions, checked after each
+    # step against the components of the edges the builder has drawn
+    rng = random.Random(47)
+    lowered = 0
+    for _ in range(40):
+        n = 24
+        b = OuterBuilder()
+        free = list(range(n))
+        rng.shuffle(free)
+        for _ in range(30):
+            drawn = sorted({(u, v) for u in b.rotation for v in b.rotation[u] if u < v})
+            # a bridge joins two vertices on the shared outer face
+            outside = [v for v in sorted(b.rotation) if v in b.anchor or not b.rotation[v]]
+            step = rng.randrange(4)
+            if step == 0 and free:
+                b.add_vertex(free.pop())
+            elif step == 1 and len(free) >= 3:
+                b.add_component(*_triangle_rotation(*(free.pop() for _ in range(3))))
+            elif step == 2 and len(outside) >= 2:
+                u, v = rng.sample(outside, 2)
+                if b.root(u) != b.root(v):
+                    b.add_bridge(u, v)
+            elif step == 3 and drawn and free:
+                u, v = rng.choice(drawn)
+                mids = [free.pop() for _ in range(min(len(free), rng.randint(1, 2)))]
+                lowered += min(mids) < b.root(u)
+                b.expand_edge(u, v, mids)
+            drawn = [(u, v) for u in b.rotation for v in b.rotation[u] if u < v]
+            comps = [c for c in connected_components(n, drawn) if c[0] in b.rotation]
+            assert b.count == len(comps)
+            for comp in comps:
+                assert {b.root(v) for v in comp} == {comp[0]}
+    assert lowered
 
 
 def _seeded_rotations(rng, count):

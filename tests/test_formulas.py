@@ -153,6 +153,18 @@ def test_density_lower_bound_matches_reference():
             assert unc_lower_bound_density(n, m) == _density_bound_reference(n, m), (n, m)
 
 
+def test_density_lower_bound_near_perfect_squares():
+    # the closed form's ceiling turns where a^2 - 4m is a perfect square
+    for n in range(16, 201):
+        a, top = 3 * n - 5, n * (n - 1) // 2
+        near = set()
+        for r in range(a % 2, a, 2):
+            m = (a * a - r * r) // 4
+            near.update(range(max(1, m - 2), min(top, m + 2) + 1))
+        for m in near:
+            assert unc_lower_bound_density(n, m) == _density_bound_reference(n, m), (n, m)
+
+
 def test_density_lower_bound_input_checks():
     with pytest.raises(ValueError):
         unc_lower_bound_density(5, 11)

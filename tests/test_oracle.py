@@ -255,7 +255,7 @@ def test_members_are_admissible_and_maximal():
 
 
 def _check_kernel(host, subset):
-    witness, planar = _admissible_witness(host, frozenset(subset))
+    witness, planar = _admissible_witness(host, frozenset(subset), {})
     assert (witness is not None) == H.admissible_by_rotations(
         host.n, subset, host.sorted_edges
     ), sorted(subset)
@@ -357,7 +357,7 @@ def _unpruned_members(host):
     for k in range(host.m, -1, -1):
         for combo in itertools.combinations(host.sorted_edges, k):
             if H.connected(host.n, combo):
-                witness, _ = _admissible_witness(host, frozenset(combo))
+                witness, _ = _admissible_witness(host, frozenset(combo), {})
                 if witness is not None:
                     admissible[frozenset(combo)] = witness.rotation
     return [(sorted(s), rot) for s, rot in admissible.items()
@@ -513,19 +513,33 @@ def test_only_the_cover_is_drawn(monkeypatch, tmp_path):
 
 
 def test_member_masks_agree_with_their_drawings():
-    import uncrossed.oracle as orc
-
     hosts = [complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4),
              complete_bipartite(3, 5)] + _k33_plus_relabeled(random.Random(29))
     for host in hosts:
         fam = enumerate_admissible(host, cap=host.m)
-        # the sweep's order table lives only for its own call
-        assert orc._ORDER_TABLE.get() is None
         drawings = fam.members
         assert len(drawings) == len(fam.masks) == len(fam.recipes)
         for mask, d in zip(fam.masks, drawings):
             assert mask == sum(1 << host.edge_index[e] for e in d.drawn), host.edges
         assert fam.sizes() == tuple(len(d.drawn) for d in drawings)
+
+
+def test_order_table_is_only_a_cache():
+    # a table shared across calls gives what a fresh table per call gives
+    hosts = [complete_graph(5)] + _k33_plus_relabeled(random.Random(30))[:2]
+    shared = {}
+    for host in hosts:
+        for k in range(host.n - 1, host.m + 1):
+            for combo in itertools.combinations(host.sorted_edges, k):
+                if not H.connected(host.n, combo):
+                    continue
+                subset = frozenset(combo)
+                runs = [_admissible_witness(host, subset, table) for table in ({}, shared)]
+                (fresh, fresh_planar), (kept, kept_planar) = runs
+                assert fresh_planar == kept_planar, combo
+                assert (fresh is None) == (kept is None), combo
+                assert fresh is None or fresh.rotation == kept.rotation, combo
+    assert shared
 
 
 def test_sweep_starts_below_the_planar_edge_bound(monkeypatch):
@@ -534,9 +548,9 @@ def test_sweep_starts_below_the_planar_edge_bound(monkeypatch):
     searched = []
     kernel = orc._admissible_witness
 
-    def recording(host, edges):
+    def recording(host, edges, table):
         searched.append(len(edges))
-        return kernel(host, edges)
+        return kernel(host, edges, table)
 
     monkeypatch.setattr(orc, "_admissible_witness", recording)
     # triangle-free hosts: at most 2n - 4 edges are planar, so no subset

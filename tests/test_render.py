@@ -38,8 +38,6 @@ def test_render_spec_validation():
         RenderSpec(layout="spiral")
     with pytest.raises(ValueError):
         RenderSpec(format="png")
-    with pytest.raises(ValueError):
-        RenderSpec(width=0)
 
 
 def test_render_rejects_unknown_objects():
@@ -97,8 +95,6 @@ def test_layout_override_falls_back_cleanly():
     # forcing the barycentric layout on a wheel must still produce svg
     svg = render(wheel_drawing(6), RenderSpec(layout="tutte-barycentric"))
     assert svg.startswith("<svg")
-    svg2 = render(wheel_drawing(6), RenderSpec(labels=False))
-    assert "<text" not in svg2.split(">", 1)[1] or svg2.count("<text") < svg.count("<text")
 
 
 def test_forced_layouts_match_auto_where_they_fit():
