@@ -23,6 +23,7 @@ from uncrossed import (
     complete_bipartite,
     complete_graph,
     format_edge_list,
+    k5_two_wheel_certificate,
     parse_certificate,
     serialize_certificate,
 )
@@ -130,6 +131,24 @@ def test_verify_never_calls_invalid_certificate_optimal(tmp_path):
     data = json.loads(out)
     assert data["ok"] is False
     assert data["optimal"] is False
+
+
+def test_verify_calls_only_a_lower_bound_sized_collection_optimal(tmp_path):
+    # K_5's two wheels meet unc(K_5) = 2; the same wheels listed twice still
+    # form a valid collection, but of size 4
+    wheels = k5_two_wheel_certificate()
+    doubled = UncrossedCertificate(wheels.host, wheels.drawings * 2)
+    for cert, last, optimal in ((wheels, "size 2 vs lower bound 2 (optimal)", True),
+                                (doubled, "size 4 vs lower bound 2", False)):
+        path = tmp_path / "w.cert"
+        path.write_text(serialize_certificate(cert))
+        code, out, err = run_cap("verify", "--cert", str(path))
+        assert code == 0
+        assert out.splitlines()[-2:] == ["verdict: VALID", last]
+        code, out, err = run_cap("verify", "--cert", str(path), "--json")
+        data = json.loads(out)
+        assert (data["ok"], data["size"], data["lower"], data["optimal"]) == (
+            True, cert.size, 2, optimal)
 
 
 def test_construct_cover_roundtrips(tmp_path):
