@@ -13,7 +13,6 @@ from .certify import (
     AdmissibilityReport,
     CertificateReport,
     UncrossedCertificate,
-    certificate_size_vs_bounds,
     parse_certificate,
     serialize_certificate,
     verify_certificate,
@@ -112,7 +111,6 @@ __all__ = [
     "UncrossedCertificate",
     "bipartite_uncrossed_collection",
     "bound_report",
-    "certificate_size_vs_bounds",
     "cofacial",
     "collection_from_outerplanar_decomposition",
     "complete_bipartite",

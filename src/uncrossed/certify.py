@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .embedding import PlaneDrawing
 from .errors import FormatError
-from .formulas import BoundReport, bound_report
 from .graph import (
     EDGE_LINE,
     Graph,
@@ -140,18 +139,6 @@ def verify_certificate(c: UncrossedCertificate) -> CertificateReport:
     uncovered = uncovered_edges(c.host, (d.drawn for d in c.drawings))
     ok = all(r.ok for r in reports) and not uncovered and c.size >= 1
     return CertificateReport(ok=ok, drawing_reports=reports, uncovered=uncovered)
-
-
-def certificate_size_vs_bounds(c: UncrossedCertificate) -> BoundReport:
-    """Compare the collection size against the best known lower bound."""
-    base = bound_report(c.host)
-    exact = base.exact
-    upper = c.size
-    if exact is not None and upper < exact:
-        # the certificate cannot beat a proven exact value; keep both visible
-        exact = None
-    provenance = tuple(base.provenance) + ("certificate-upper-bound",)
-    return BoundReport(base.graph_label, base.lower, upper, exact, provenance)
 
 
 # --- text format -----------------------------------------------------------

@@ -358,7 +358,7 @@ def is_planar_graph(g: Graph) -> tuple:
     if not edges_connected(g.n, g.edges):
         return True, None
     rotation = tuple(
-        tuple(emb.neighbors_cw_order(v)) if g.degree(v) else () for v in range(g.n)
+        tuple(emb.neighbors_cw_order(v)) if g.adjacency[v] else () for v in range(g.n)
     )
     return True, PlaneDrawing(g, g.edges, rotation)
 
@@ -611,12 +611,20 @@ class OuterBuilder:
             order.insert(order.index(self.anchor[v]) + 1, w)
 
     def add_bridge(self, u: int, v: int):
-        """Draw edge {u, v} through the outer region, merging two components."""
+        """Draw edge {u, v} through the outer region, merging two components.
+
+        A missing end is placed first. Raises ValueError, with the builder
+        unchanged, when an end has darts but none on the shared face, or when
+        both ends already share a component."""
+        for x in (u, v):
+            if self.rotation.get(x) and x not in self.anchor:
+                raise ValueError(f"vertex {x} has no dart on the shared face")
+        if u == v or (u in self.rotation and v in self.rotation
+                      and self.root(u) == self.root(v)):
+            raise ValueError(f"bridge ({u}, {v}) would close a cycle")
         for x in (u, v):
             if x not in self.rotation:
                 self.add_vertex(x)
-        if self.root(u) == self.root(v):
-            raise ValueError(f"bridge ({u}, {v}) would close a cycle")
         self._insert_after_anchor(u, v)
         self._insert_after_anchor(v, u)
         self._union(u, v)

@@ -134,11 +134,6 @@ class BoundReport:
     exact: int | None
     provenance: tuple
 
-    @property
-    def optimal(self) -> bool:
-        target = self.exact if self.exact is not None else self.lower
-        return self.upper is not None and self.upper == target
-
 
 def recognize_complete(g: Graph) -> int | None:
     """n when g is K_n, else None. Colored graphs are never reported complete."""

@@ -87,7 +87,8 @@ class Graph:
         for u, v in self.sorted_edges:
             adj[u].append(v)
             adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        # sorted_edges hands each vertex its neighbours in ascending order
+        return tuple(map(tuple, adj))
 
     @cached_property
     def adjacency_masks(self) -> tuple:
@@ -98,27 +99,6 @@ class Graph:
         for u, v in self.sorted_edges:
             rows[u][v] = rows[v][u] = 49
         return tuple(int(row[::-1], 2) for row in rows)
-
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
-
-    @property
-    def blacks(self) -> range:
-        if self.black_count is None:
-            raise ValueError("graph carries no coloring")
-        return range(self.black_count)
-
-    @property
-    def whites(self) -> range:
-        if self.black_count is None:
-            raise ValueError("graph carries no coloring")
-        return range(self.black_count, self.n)
 
 
 def complete_graph(n: int) -> Graph:

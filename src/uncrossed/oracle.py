@@ -389,26 +389,26 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     return AdmissibleFamily(host, tuple(masks), tuple(recipes), tuple(firsts))
 
 
-def exact_h(host: Graph, *, family: AdmissibleFamily | None = None, cap: int = 12) -> int:
+def exact_h(host: Graph, *, family: AdmissibleFamily | None = None) -> int:
     """Largest number of edges drawable in one admissible drawing."""
     if family is None:
-        family = enumerate_admissible(host, cap=cap)
+        family = enumerate_admissible(host)
     return family.max_size()
 
 
-def exact_ecr(host: Graph, *, family: AdmissibleFamily | None = None, cap: int = 12) -> int:
+def exact_ecr(host: Graph, *, family: AdmissibleFamily | None = None) -> int:
     """Minimum, over admissible drawings, of the number of undrawn edges."""
     if family is None:
-        family = enumerate_admissible(host, cap=cap)
+        family = enumerate_admissible(host)
     return host.m - family.max_size()
 
 
 def max_uncrossed_subgraph(
-    host: Graph, k: int, *, family: AdmissibleFamily | None = None, cap: int = 12
+    host: Graph, k: int, *, family: AdmissibleFamily | None = None
 ) -> tuple:
     """(True, witness edge set) when some admissible set has >= k edges."""
     if family is None:
-        family = enumerate_admissible(host, cap=cap)
+        family = enumerate_admissible(host)
     edge_list = family.host.sorted_edges
     for mask in family.masks:
         if mask.bit_count() >= k:
@@ -416,9 +416,7 @@ def max_uncrossed_subgraph(
     return False, None
 
 
-def exact_unc(
-    host: Graph, *, family: AdmissibleFamily | None = None, cap: int = 12
-) -> tuple:
+def exact_unc(host: Graph, *, family: AdmissibleFamily | None = None) -> tuple:
     """(minimum collection size, witness certificate), exactly.
 
     Iterative deepening over covers by maximal admissible sets; the first
@@ -429,7 +427,7 @@ def exact_unc(
     starts with such a member.
     """
     if family is None:
-        family = enumerate_admissible(host, cap=cap)
+        family = enumerate_admissible(host)
     if host.m == 0:
         # a lone vertex still takes one (empty) drawing
         return 1, UncrossedCertificate(host, (family.drawing(0),))

@@ -133,7 +133,6 @@ def ecr_forward_witness(inst: ReductionInstance, h_edges) -> PlaneDrawing:
         for x in bundles[(u, v)]:
             builder.add_bridge(u, x)
     reps = _component_reps(builder, g.n)
-    builder.add_vertex(center)
     for rep in reps:
         builder.add_bridge(center, rep)
     drawing = builder.build(inst.target)
@@ -183,12 +182,10 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
             for v in range(g.n):
                 builder.add_bridge(v, paths[v])
             reps = _component_reps(builder, g.n)
-            builder.add_vertex(center)
             for rep in reps:
                 builder.add_bridge(center, paths[rep])
         else:
             reps = _component_reps(builder, g.n)
-            builder.add_vertex(center)
             for v in range(g.n):
                 builder.add_bridge(center, paths[v])
             for rep in reps:

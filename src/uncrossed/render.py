@@ -261,10 +261,7 @@ def _positions(d: PlaneDrawing, layout: str) -> dict:
     if layout == "tutte-barycentric":
         return _tutte_positions(d)
     # auto
-    pos = _wheel_positions(d)
-    if pos is None and d.host.black_count is not None:
-        pos = _double_cycle_positions(d)
-    return pos or _tutte_positions(d)
+    return _wheel_positions(d) or _double_cycle_positions(d) or _tutte_positions(d)
 
 
 def _fit(pos: dict) -> dict:

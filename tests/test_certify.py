@@ -16,7 +16,6 @@ from uncrossed import (
     PlaneDrawing,
     UncrossedCertificate,
     bipartite_uncrossed_collection,
-    certificate_size_vs_bounds,
     complete_graph,
     double_cycle_cover,
     embed_double_cycle,
@@ -206,20 +205,6 @@ def test_serialize_drawing_single():
     back = parse_certificate(text)
     assert back.size == 1
     assert back.drawings[0].drawn == d.drawn
-
-
-def test_certificate_size_vs_bounds():
-    cert = k5_two_wheel_certificate()
-    r = certificate_size_vs_bounds(cert)
-    assert r.upper == 2 and r.exact == 2
-    assert r.optimal
-    assert "certificate-upper-bound" in r.provenance
-
-    # oversized collection: upper bound above the known exact value
-    fat = UncrossedCertificate(cert.host, cert.drawings + cert.drawings)
-    r2 = certificate_size_vs_bounds(fat)
-    assert r2.upper == 4
-    assert not r2.optimal
 
 
 def _traced_peak(fn, *args):

@@ -163,23 +163,6 @@ def test_construct_cover_roundtrips(tmp_path):
     assert "minus-one" in Path(cover_path).read_text()
 
 
-@pytest.mark.parametrize("fmt", ["svg", "dot"])
-@pytest.mark.parametrize("sizes", [("9", "24"), ("3", "3")])
-def test_construct_cover_refuses_a_graphical_format_before_building(monkeypatch, fmt, sizes):
-    # K_{3,3} fits neither double-cycle scheme; the format is still what is
-    # reported, and no cover is built for either size
-    import uncrossed.constructions as cons
-
-    def no_build(*args):
-        raise AssertionError("the cover was built before the format was checked")
-
-    monkeypatch.setattr(cons, "double_cycle_cover_for", no_build)
-    code, out, err = run_cap("construct", "cover", *sizes, "--format", fmt)
-    assert code == 2
-    assert out == ""
-    assert err == "error: cover files have no graphical form; use collection\n"
-
-
 def test_construct_ladder_is_admissible_but_covers_half(tmp_path):
     # one ladder of K_{4,6} draws 2m + n - 2 = 12 of the 24 edges
     cert_path = str(tmp_path / "ladder.cert")
@@ -203,8 +186,9 @@ def test_construct_accepts_either_order(what, m, n):
 
 
 def test_construct_wheel_svg(tmp_path):
-    svg_path = str(tmp_path / "w.svg")
-    code, out, err = run_cap("construct", "wheel", "9", "--format", "svg", "-o", svg_path)
+    cert_path, svg_path = str(tmp_path / "w.cert"), str(tmp_path / "w.svg")
+    assert run_cap("construct", "wheel", "9", "-o", cert_path) == (0, "", "")
+    code, out, err = run_cap("render", "--cert", cert_path, "-o", svg_path)
     assert code == 0
     assert Path(svg_path).read_text().startswith("<svg")
 

@@ -6,6 +6,7 @@ force reference routes in helpers.py, which share no code with the package.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import math
@@ -346,6 +347,25 @@ def test_outer_builder_expand_edge_keeps_admissibility():
     assert is_planar_embedding(d)
     assert d.undrawn == ((0, 1),)
     assert cofacial(d, 0, 1)
+
+
+def test_outer_builder_refuses_a_bridge_off_the_shared_face():
+    # the middle mid of a three-mid expansion has darts but none on the
+    # shared face: a bridge there names it and leaves the builder unchanged
+    b = OuterBuilder()
+    b.add_component(*_triangle_rotation(0, 1, 2))
+    b.expand_edge(0, 1, [3, 4, 5])
+    assert b.rotation[4] and 4 not in b.anchor
+    before = copy.deepcopy(vars(b))
+    for u, v in ((4, 6), (6, 4), (4, 2)):
+        with pytest.raises(ValueError, match="^vertex 4 has no dart on the shared face$"):
+            b.add_bridge(u, v)
+        assert vars(b) == before
+    with pytest.raises(ValueError, match="would close a cycle"):
+        b.add_bridge(3, 2)
+    assert vars(b) == before
+    b.add_bridge(3, 6)
+    assert b.count == 1 and b.rotation[6] == [3]
 
 
 def test_outer_builder_counts_components_and_roots():

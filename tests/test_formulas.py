@@ -184,7 +184,6 @@ def test_recognizers():
 def test_bound_report_complete():
     r = bound_report(complete_graph(5))
     assert (r.lower, r.upper, r.exact) == (2, 2, 2)
-    assert r.optimal
     assert r.provenance == ("unc-complete",)
 
 

@@ -228,7 +228,8 @@ def test_cap_refusal():
     assert exc.value.cap == 12
     assert exc.value.estimate == 2**21
     # raising the cap is an explicit opt-in
-    assert exact_h(complete_graph(5), cap=10) == 8
+    k5 = complete_graph(5)
+    assert exact_h(k5, family=enumerate_admissible(k5, cap=10)) == 8
 
 
 def test_family_reuse_is_consistent():

@@ -15,6 +15,8 @@ from uncrossed import (
     PlaneDrawing,
     RenderSpec,
     bipartite_uncrossed_collection,
+    complete_bipartite,
+    complete_graph,
     double_cycle_cover,
     embed_double_cycle,
     is_planar_graph,
@@ -24,7 +26,7 @@ from uncrossed import (
 )
 from uncrossed.embedding import trace_rotation
 from uncrossed.reductions import ecr_forward_witness, reduce_mos_to_ecr
-from uncrossed.render import FORMATS, _circle_positions, _tutte_positions
+from uncrossed.render import FORMATS, _circle_positions, _positions, _tutte_positions
 
 from test_certify import _traced_peak
 
@@ -117,6 +119,46 @@ def test_forced_layouts_fall_back_where_they_do_not_fit(monkeypatch):
     module = importlib.import_module("uncrossed.render")
     monkeypatch.setattr(module, "_positions", lambda d, layout: _circle_positions(d))
     assert forced == render(cycle)
+
+
+def _coloured(b: int, n: int, rotation: dict) -> PlaneDrawing:
+    """A drawing of K_{b,n-b} from the rotation of its drawn vertices."""
+    rot = tuple(tuple(rotation.get(v, ())) for v in range(n))
+    drawn = {(u, v) for u in range(n) for v in rot[u] if u < v}
+    return PlaneDrawing(complete_bipartite(b, n - b), drawn, rot)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_radial_layout_falls_back_to_circle_below_four_vertices(n):
+    # K_3 is drawn as a hub and its two-vertex rim, but no wheel has three vertices
+    host = complete_graph(n)
+    rot = tuple(tuple(u for u in range(n) if u != v) for v in range(n))
+    d = PlaneDrawing(host, host.edges, rot)
+    assert _positions(d, "radial-wheel") == _circle_positions(d)
+
+
+@pytest.mark.parametrize("d", [
+    # two blacks are too few for a black cycle
+    bipartite_uncrossed_collection(2, 3).drawings[0],
+    # white 3 meets three blacks
+    _coloured(3, 6, {0: (3, 4, 5), 1: (3,), 2: (3,), 3: (0, 1, 2), 4: (0,), 5: (0,)}),
+    # white 5 meets no black
+    _coloured(3, 6, {0: (3,), 1: (3, 4), 2: (4,), 3: (0, 1), 4: (1, 2)}),
+    # blacks 0 and 2 have one cycle partner each: a path, not a cycle
+    _coloured(3, 6, {0: (3,), 1: (3, 4), 2: (4, 5), 3: (0, 1), 4: (1, 2), 5: (2,)}),
+    # the black pairs form two triangles, not one cycle through all six
+    _coloured(6, 12, {0: (6, 8), 1: (6, 7), 2: (7, 8), 3: (9, 11), 4: (9, 10),
+                      5: (10, 11), 6: (0, 1), 7: (1, 2), 8: (0, 2), 9: (3, 4),
+                      10: (4, 5), 11: (3, 5)}),
+], ids=["two-blacks", "white-of-degree-3", "isolated-white", "black-path", "two-cycles"])
+def test_bipartite_layout_falls_back_to_barycentric_off_the_double_cycle_shape(d):
+    assert d.well_formed
+    assert _positions(d, "bipartite-circular") == _tutte_positions(d)
+
+
+def test_barycentric_layout_of_a_drawing_without_edges_is_the_circle():
+    d = PlaneDrawing(complete_graph(3), (), ((), (), ()))
+    assert _positions(d, "tutte-barycentric") == _circle_positions(d)
 
 
 def _boundary(d: PlaneDrawing) -> list:
