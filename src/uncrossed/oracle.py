@@ -47,9 +47,29 @@ extension is too large to be planar or is a non-planar subset rejected one
 level up (the kernel reports whether any rotation system reached Euler's
 count). A planar graph on n >= 3 vertices has at most 3n - 6 edges, and at
 most 2n - 4 when it has no triangle; every subset of a triangle-free host is
-triangle-free, so such a host uses the smaller bound. Only inadmissible or
-non-maximal subsets are skipped, so the members and their order are those
-of the plain sweep.
+triangle-free, so such a host uses the smaller bound. When the sweep would
+start at the whole host, ``embedding.is_planar_graph`` tests it instead of
+the kernel, and a non-planar host is rejected one level up unscanned.
+
+When the kernel rejects a planar subset S, it has scanned every rotation
+system of S that reaches Euler's count (up to mirror images), and it
+reports the edges e of S whose deletion leaves an admissible set: those for
+which some such system keeps every undrawn pair of S cofacial once the two
+faces beside e merge. That is exact both ways. Drawing e through a face
+that its ends share turns an admissible drawing of S - e into such a
+system, and deleting e from such a system (e is no bridge when S - e is
+connected) gives an admissible drawing of S - e. So a connected subset
+with such an extension that does not free the extra edge is rejected, with
+its twin-swap orbit, without a kernel call. The freed edges are kept for
+one level, and only for subsets that the kernel scanned.
+
+The sweep stops after the first level at which no connected subset is
+rejected. A connected spanning subset grows by any edge of the connected
+host and stays one, so every smaller one lies inside a subset of that
+level, all admissible: no member is left below. Only inadmissible or
+non-maximal subsets are skipped, and a subset that a scan calls admissible
+still goes to the kernel for its first witness, so the members, their order
+and their witnesses are those of the plain sweep.
 """
 
 from __future__ import annotations
@@ -59,7 +79,7 @@ from dataclasses import dataclass
 from math import ceil
 
 from .certify import UncrossedCertificate, verify_drawing
-from .embedding import PlaneDrawing, _face_ids
+from .embedding import PlaneDrawing, _face_ids, is_planar_graph
 # benchmarks/tracing.py wraps this binding; nothing here calls it
 from .embedding import trace_rotation  # noqa: F401
 from .errors import OracleCapError
@@ -134,14 +154,20 @@ def _orders(table: dict, neighbors: tuple, pivot: bool) -> tuple:
 
 
 def _admissible_witness(host: Graph, edges: frozenset, table: dict) -> tuple:
-    """(first admissible drawing or None, whether the subset is planar).
+    """(first admissible drawing or None, whether the subset is planar,
+    deletable edges).
 
     Rotation systems are visited in ``itertools.product`` order over the
     per-vertex candidate orders, so the first admissible one is returned.
     A subset is planar when some system reaches Euler's face count; when no
-    system is admissible the scan is exhaustive, so the flag is exact.
-    ``table`` caches ``_orders`` across calls; the sweep passes one table
-    to each of its calls.
+    system is admissible the scan is exhaustive, so the flag is exact, and
+    the deletable edges, a bitmask over ``host.sorted_edges`` (0 when a
+    drawing is returned), are the drawn edges e such that some system that
+    reaches Euler's count keeps every undrawn pair cofacial once the two
+    faces beside e merge. Deleting such an e leaves an admissible set, and
+    no other deletion does: see ``enumerate_admissible``. ``table`` caches
+    ``_orders`` across calls; the sweep passes one table to each of its
+    calls.
     """
     n = host.n
     adj: list[list[int]] = [[] for _ in range(n)]
@@ -173,7 +199,9 @@ def _admissible_witness(host: Graph, edges: frozenset, table: dict) -> tuple:
     # the last vertex's rows stay positions in its outs: for each dart into
     # it, which dart out of it follows
     last_outs, last_rows = outs[last], after[last]
-    planar = False
+    # (face per slot, face mask per vertex) of each system that reaches
+    # Euler's count but leaves an undrawn pair apart
+    systems = []
     for prefix in itertools.product(*rows):
         succ = list(itertools.chain.from_iterable(prefix))
         # each dart out of the last vertex starts a path through darts into
@@ -212,19 +240,30 @@ def _admissible_witness(host: Graph, edges: frozenset, table: dict) -> tuple:
                     j = exits[lrow[j]]
             if (faces or 1) != target:
                 continue
-            planar = True
             succ[low:] = [last_outs[j] for j in lrow]
             face, _ = _face_ids(succ)
             mask = [0] * n
             for v, f in zip(head, face):
                 mask[v] |= 1 << f
             if not all(mask[u] & mask[v] for u, v in undrawn):
+                systems.append((face, mask))
                 continue
             rotation = tuple(
                 cand[v][rows[v].index(r)] for v, r in enumerate(prefix)
             ) + (order,)
-            return _confirm(PlaneDrawing(host, edges, rotation)), True
-    return None, planar
+            return _confirm(PlaneDrawing(host, edges, rotation)), True, 0
+    # merging the two faces beside e joins a pair that shares no face
+    # exactly when one end is on each of them
+    index = host.edge_index
+    ends = [(1 << index[u, v], slot[v][u], slot[u][v]) for u, v in sorted(edges)]
+    frees = 0
+    for face, mask in systems:
+        apart = [(mask[u], mask[v]) for u, v in undrawn if not mask[u] & mask[v]]
+        for bit, s, t in ends:
+            beside = 1 << face[s] | 1 << face[t]
+            if not frees & bit and all(a & beside and b & beside for a, b in apart):
+                frees |= bit
+    return None, bool(systems), frees
 
 
 def _confirm(d: PlaneDrawing) -> PlaneDrawing:
@@ -303,12 +342,21 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     maximal), or non-planar (an admissible set stays planar with any undrawn
     edge added through the face its ends share). The sweep starts one edge
     below the planar edge bound, 2n - 4 on a triangle-free host and 3n - 6
-    otherwise, and the twin-swap orbit of a subset the kernel rejects is
-    rejected with it. Members come in the plain sweep's order. The first
-    member of each twin-swap orbit gets the kernel's first witness; the
-    other members of the orbit get that witness and the vertex map that
-    relabels it through the swaps, and are drawn only when read. ``cap``
-    bounds the host edge count this is willing to process at all.
+    otherwise; when it would start at the whole host, the planarity test
+    settles a non-planar host without a rotation scan. The twin-swap orbit
+    of a subset the kernel rejects is rejected with it. So is a connected
+    subset T = S - e, with its orbit, when the kernel rejected S as planar
+    and no rotation system of S reaching Euler's count keeps the undrawn
+    pairs of S cofacial once the faces beside e merge: such a system and
+    an admissible drawing of T each give the other, by deleting e or by
+    drawing it through a face its ends share. The sweep stops after the
+    first level with no connected subset rejected, since every smaller
+    connected subset lies inside one of that level. Members come in the
+    plain sweep's order. The first member of each twin-swap orbit gets the
+    kernel's first witness; the other members of the orbit get that
+    witness and the vertex map that relabels it through the swaps, and are
+    drawn only when read. ``cap`` bounds the host edge count this is
+    willing to process at all.
     """
     if host.n == 0:
         raise ValueError("oracle requires a host with at least one vertex")
@@ -343,11 +391,21 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
     images: dict = {}
     # what is settled about the masks of one level: True for members and
     # their subsets, False for non-planar rejected orbits, None for the
-    # other rejected orbits; ``above`` is the level one edge larger
+    # other rejected orbits; ``above`` is the level one edge larger, and
+    # ``freed`` maps each subset of it that the kernel rejected as planar to
+    # the edges whose deletion leaves an admissible set
     above: dict = {}
+    freed: dict = {}
+    # the planarity test, not a scan of its rotation systems, settles a
+    # whole host that the sweep would start at
+    if upper == e_all and not is_planar_graph(host)[0]:
+        above[full] = False
+        upper -= 1
     table: dict = {}  # candidate orders, shared by every kernel call
     for k in range(upper, lower - 1, -1):
         known: dict = {}
+        scanned: dict = {}
+        rejected = False  # whether a connected subset of this level is inadmissible
         for combo in itertools.combinations(bits, k):
             mask = sum(combo)
             if mask in known:  # the orbit of a rejected subset
@@ -359,21 +417,35 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
                 continue
             # an extension inside a member makes this subset non-maximal,
             # a non-planar one makes it inadmissible
+            settled = None
             rest = full ^ mask
             while rest:
                 low = rest & -rest
                 settled = above.get(mask | low)
                 if settled is not None:
-                    if settled:
-                        known[mask] = True
                     break
                 rest ^= low
-            if rest:
+            if settled:
+                known[mask] = True
+                continue
+            # a rejection counts for the level only when the subset is
+            # connected, and the level needs only one
+            if settled is False and rejected:
                 continue
             subset = frozenset(edge_list[b.bit_length() - 1] for b in combo)
             if not edges_connected(n, subset):
                 continue
-            witness, planar = _admissible_witness(host, subset, table)
+            if settled is False:
+                rejected = True
+                continue
+            # a planar kernel rejection one level up whose scan does not free
+            # the extra edge makes it inadmissible too, with its orbit
+            if any(mask | b in freed and not freed[mask | b] & b
+                   for b in bits if not mask & b):
+                rejected = True
+                known.update(dict.fromkeys(_orbit(mask, swaps, n)))
+                continue
+            witness, planar, frees = _admissible_witness(host, subset, table)
             orbit = _orbit(mask, swaps, n)
             if witness is not None:
                 firsts.append(len(masks))
@@ -384,8 +456,15 @@ def enumerate_admissible(host: Graph, *, cap: int = 12) -> AdmissibleFamily:
                 for image, vmap in orbit.items():
                     images[image] = (witness, vmap)
             else:
+                rejected = True
+                if planar:
+                    scanned[mask] = frees
                 known.update(dict.fromkeys(orbit, None if planar else False))
-        above = known
+        if not rejected:
+            # every smaller connected subset lies inside a connected subset
+            # of this level, and all of those are admissible
+            break
+        above, freed = known, scanned
     return AdmissibleFamily(host, tuple(masks), tuple(recipes), tuple(firsts))
 
 

@@ -256,7 +256,7 @@ def test_members_are_admissible_and_maximal():
 
 
 def _check_kernel(host, subset):
-    witness, planar = _admissible_witness(host, frozenset(subset), {})
+    witness, planar, _ = _admissible_witness(host, frozenset(subset), {})
     assert (witness is not None) == H.admissible_by_rotations(
         host.n, subset, host.sorted_edges
     ), sorted(subset)
@@ -358,7 +358,7 @@ def _unpruned_members(host):
     for k in range(host.m, -1, -1):
         for combo in itertools.combinations(host.sorted_edges, k):
             if H.connected(host.n, combo):
-                witness, _ = _admissible_witness(host, frozenset(combo), {})
+                witness, _, _ = _admissible_witness(host, frozenset(combo), {})
                 if witness is not None:
                     admissible[frozenset(combo)] = witness.rotation
     return [(sorted(s), rot) for s, rot in admissible.items()
@@ -536,8 +536,8 @@ def test_order_table_is_only_a_cache():
                     continue
                 subset = frozenset(combo)
                 runs = [_admissible_witness(host, subset, table) for table in ({}, shared)]
-                (fresh, fresh_planar), (kept, kept_planar) = runs
-                assert fresh_planar == kept_planar, combo
+                (fresh, fresh_planar, fresh_frees), (kept, kept_planar, kept_frees) = runs
+                assert (fresh_planar, fresh_frees) == (kept_planar, kept_frees), combo
                 assert (fresh is None) == (kept is None), combo
                 assert fresh is None or fresh.rotation == kept.rotation, combo
     assert shared
@@ -591,3 +591,96 @@ def test_confirm_refuses_what_the_face_tracer_rejects():
         _confirm(apart)
     # an admissible drawing comes back as it was given
     assert _confirm(emb) is emb
+
+
+def _connected_masks(host, k):
+    """Edge masks of the connected spanning k-edge subsets of the host."""
+    return [sum(1 << host.edge_index[e] for e in combo)
+            for combo in itertools.combinations(host.sorted_edges, k)
+            if H.connected(host.n, combo)]
+
+
+def test_deletion_rule_matches_the_kernel():
+    # a subset T is admissible exactly when the kernel's scan of a planar
+    # rejected S = T + e frees e: some Euler-passing system of S keeps every
+    # undrawn pair cofacial once the two faces beside e merge
+    hosts = [complete_graph(5), complete_bipartite(3, 4)] + _k33_plus_relabeled(random.Random(31))
+    compared = freed = 0
+    for host in hosts:
+        # a planar subset has at most 3n - 6 edges
+        kernel = {}
+        for k in range(host.n - 1, min(host.m, 3 * host.n - 6) + 1):
+            for mask in _connected_masks(host, k):
+                edges = frozenset(e for i, e in enumerate(host.sorted_edges) if mask >> i & 1)
+                kernel[mask] = _admissible_witness(host, edges, {})
+        for mask, (witness, planar, frees) in kernel.items():
+            if witness is not None or not planar:
+                continue
+            for i in range(host.m):
+                bit = 1 << i
+                if mask & bit and mask ^ bit in kernel:
+                    admissible = kernel[mask ^ bit][0] is not None
+                    assert bool(frees & bit) == admissible, (host.edges, mask, i)
+                    compared += 1
+                    freed += admissible
+    assert compared > freed > 0
+
+
+def test_non_planar_host_is_not_scanned(monkeypatch):
+    import uncrossed.oracle as orc
+
+    searched = []
+    kernel = orc._admissible_witness
+
+    def recording(host, edges, table):
+        searched.append(len(edges))
+        return kernel(host, edges, table)
+
+    monkeypatch.setattr(orc, "_admissible_witness", recording)
+    # each shape has at most the planar edge bound of edges, so the sweep
+    # would start at the whole host; the planarity test rejects it instead
+    for host in _k33_plus_relabeled(random.Random(32)):
+        searched.clear()
+        fam = enumerate_admissible(host)
+        assert searched and max(searched) < host.m, host.edges
+        assert fam.max_size() < host.m
+
+
+def test_planar_host_at_the_cap_is_one_member():
+    cube = Graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
+    assert cube.m == 12
+    fam = enumerate_admissible(cube)
+    assert fam.masks == ((1 << 12) - 1,) and fam.firsts == (0,)
+    assert exact_h(cube, family=fam) == 12
+    u, cert = exact_unc(cube, family=fam)
+    assert u == 1 and verify_certificate(cert).ok
+
+
+def test_sweep_stops_at_the_first_level_without_a_rejection(monkeypatch):
+    import uncrossed.oracle as orc
+
+    levels = []
+
+    class Recording:
+        def __getattr__(self, name):
+            return getattr(itertools, name)
+
+        def combinations(self, pool, k):
+            levels.append(k)
+            return itertools.combinations(pool, k)
+
+    hosts = [complete_graph(5), complete_bipartite(3, 3), complete_bipartite(3, 4),
+             complete_graph(4)] + _k33_plus_relabeled(random.Random(33))[:3]
+    for host in hosts:
+        levels.clear()
+        monkeypatch.setattr(orc, "itertools", Recording())
+        fam = enumerate_admissible(host)
+        monkeypatch.undo()
+        if host == complete_graph(5):
+            assert levels == [8, 7, 6]
+        assert levels == list(range(levels[0], levels[-1] - 1, -1)), host.edges
+        # a level is rejection-free when each of its connected subsets lies
+        # inside a member; the sweep stops at the first one
+        free = [all(any(x & m == x for m in fam.masks) for x in _connected_masks(host, k))
+                for k in levels]
+        assert free == [False] * (len(levels) - 1) + [True], host.edges
