@@ -194,12 +194,11 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
     return UncrossedCertificate(inst.target, tuple(drawings))
 
 
-def max_outerplanar_subgraph_exact(g: Graph, *, cap: int = 12) -> tuple:
-    """(k*, witness edge set): a maximum outerplanar subgraph, brute force."""
-    if g.m > cap:
-        raise OracleCapError(
-            f"source has {g.m} edges, above the cap of {cap}", g.m, cap
-        )
+def max_outerplanar_subgraph_exact(g: Graph) -> tuple:
+    """(k*, witness edge set): a maximum outerplanar subgraph, brute force
+    over the 2^m edge subsets of a source with at most 12 edges."""
+    if g.m > 12:
+        raise OracleCapError(f"source has {g.m} edges, above the cap of 12", g.m, 12)
     edge_list = g.sorted_edges
     for size in range(g.m, -1, -1):
         for combo in itertools.combinations(range(g.m), size):
@@ -223,14 +222,14 @@ class ReductionValidation:
         return all(passed for _, passed, _ in self.results)
 
 
-def validate_reduction_small(g: Graph, k: int | None = None, *, cap: int = 12):
+def validate_reduction_small(g: Graph, k: int | None = None):
     """Compute the exact outerplanar maximum k* of g and witness each k <= k*.
 
     For every k up to k* (or just the given k) the generated ecr instance is
     paired with a forward witness drawing, which is then rechecked for
     admissibility and for meeting its budget.
     """
-    k_star, h_star = max_outerplanar_subgraph_exact(g, cap=cap)
+    k_star, h_star = max_outerplanar_subgraph_exact(g)
     if k is not None and k > k_star:
         raise ValueError(f"requested k = {k} exceeds the exact maximum {k_star}")
     ks = [k] if k is not None else list(range(0, k_star + 1))

@@ -98,22 +98,17 @@ def _double_cycle_positions(d: PlaneDrawing) -> dict | None:
     for (x, y) in pair_whites:
         partners[x].add(y)
         partners[y].add(x)
-    # walk the black cycle
+    # the pairs' blacks must form one cycle through every black. render
+    # draws only well-formed drawings, whose whites join distinct blacks,
+    # so with two partners per black the walk from black 0 comes back to
+    # it; on one cycle through every black, each pair joins two blacks
+    # adjacent on it, and every vertex gets a position
     if any(len(p) != 2 for p in partners.values()):
         return None
-    cycle = [0]
-    prev = None
-    while True:
-        nxt = sorted(partners[cycle[-1]] - ({prev} if prev is not None else set()))
-        if not nxt:
-            return None
+    cycle, prev = [0], None
+    while (nxt := min(partners[cycle[-1]] - {prev})) != 0:
         prev = cycle[-1]
-        cycle.append(nxt[0])
-        if cycle[-1] == 0:
-            cycle.pop()
-            break
-        if len(cycle) > b:
-            return None
+        cycle.append(nxt)
     if len(cycle) != b:
         return None
     k = len(cycle)
@@ -124,26 +119,18 @@ def _double_cycle_positions(d: PlaneDrawing) -> dict | None:
         pos[bb] = (math.cos(a), math.sin(a))
     for (x, y), ws in sorted(pair_whites.items()):
         p, q = index[x], index[y]
-        if (q - p) % k == 1:
-            edge_angle = 2 * math.pi * (p + 0.5) / k - math.pi / 2
-        elif (p - q) % k == 1:
-            edge_angle = 2 * math.pi * (q + 0.5) / k - math.pi / 2
-        else:
-            return None
+        start = p if (q - p) % k == 1 else q
+        edge_angle = 2 * math.pi * (start + 0.5) / k - math.pi / 2
         for w in ws:
             # rotation of the white tells the side: cycle-forward means inside
             fwd = (index[rot[w][1]] - index[rot[w][0]]) % k == 1
             r = 0.55 if fwd else 1.4
             pos[w] = (r * math.cos(edge_angle), r * math.sin(edge_angle))
     for bb, ws in leaves.items():
-        if bb not in pos:
-            return None
         base = math.atan2(pos[bb][1], pos[bb][0])
         for j, w in enumerate(sorted(ws)):
             a = base + (j - (len(ws) - 1) / 2) * 0.25
             pos[w] = (0.42 * math.cos(a), 0.42 * math.sin(a))
-    if len(pos) != d.host.n:
-        return None
     return pos
 
 

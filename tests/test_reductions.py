@@ -9,6 +9,7 @@ import helpers as H
 from uncrossed import (
     Graph,
     NotOuterplanarError,
+    OracleCapError,
     complete_bipartite,
     complete_graph,
     ecr_forward_witness,
@@ -89,6 +90,15 @@ def test_max_outerplanar_subgraph_frozen_values():
     assert max_outerplanar_subgraph_exact(C4)[0] == 4
     assert max_outerplanar_subgraph_exact(complete_graph(4))[0] == 5
     assert max_outerplanar_subgraph_exact(complete_bipartite(2, 3))[0] == 5
+
+
+def test_exact_checks_refuse_a_source_above_12_edges():
+    # K_{3,5} has 15 edges: refused before any of its 2^15 subsets is tried
+    for check in (max_outerplanar_subgraph_exact, validate_reduction_small):
+        with pytest.raises(OracleCapError) as exc:
+            check(complete_bipartite(3, 5))
+        assert str(exc.value) == "source has 15 edges, above the cap of 12"
+        assert (exc.value.edge_count, exc.value.cap) == (15, 12)
 
 
 def test_max_outerplanar_subgraph_witness_checks_out():
