@@ -79,12 +79,10 @@ from .oracle import (
 )
 from .reductions import (
     ReductionInstance,
-    ReductionValidation,
     ecr_forward_witness,
     reduce_mos_to_ecr,
     reduce_ot_to_unc,
     unc_forward_witness,
-    validate_reduction_small,
 )
 from .render import RenderSpec, render
 
@@ -106,7 +104,6 @@ __all__ = [
     "OracleCapError",
     "PlaneDrawing",
     "ReductionInstance",
-    "ReductionValidation",
     "RenderSpec",
     "UncrossedCertificate",
     "bipartite_uncrossed_collection",
@@ -150,7 +147,6 @@ __all__ = [
     "unc_forward_witness",
     "unc_lower_bound_density",
     "unc_lower_bound_h",
-    "validate_reduction_small",
     "verify_certificate",
     "verify_drawing",
     "wheel_drawing",

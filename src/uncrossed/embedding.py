@@ -20,21 +20,28 @@ the oracle's final check; the oracle's kernel ORs face bits into a mask per
 vertex. ``_walk_face`` follows one face dart by dart, for an outerplanar
 component's outer walk, the renderer's boundary and ``trace_rotation``.
 
-Outerplanar embedding is pure Python, one biconnected block at a time (the
-degree-2 reduction of Mitchell, IPL 9, 1979); networkx serves only the
-general planarity test ``is_planar_graph``. ``OuterBuilder`` places such
-components around one shared outer region and joins them by bridges through
-it; its rotation is the one record of what is drawn, and ``build`` reads the
-drawn edges off it. Components are tracked with ``graph._find`` over a dict
-of the vertices placed so far, with their ``count``; ``root(v)`` is the
-lowest vertex of v's component. ``outerplanar_extension`` bridges in one pass
-over the host's sorted edges, and the reduction witnesses grow the builder
-that checked their input's outerplanarity.
+Outerplanar embedding is pure Python, with one depth-first search per
+component and one pass per block. The search (the lowpoints of Hopcroft and
+Tarjan, CACM 16, 1973) returns the component's vertices and its biconnected
+blocks. A one-edge block adds its two darts; any other block finds its outer
+cycle by the degree-2 reduction of Mitchell (IPL 9, 1979), checks that its
+chords nest, and reads each vertex's fan off the higher and lower chord ends
+bucketed at its cycle position. networkx serves only the general planarity
+test ``is_planar_graph``. ``OuterBuilder`` places such components around one
+shared outer region and joins them by bridges through it; its rotation is
+the one record of what is drawn, and ``build`` reads the drawn edges off it.
+Components are tracked with ``graph._find`` over a dict of the vertices
+placed so far, with their ``count``; ``root(v)`` is the lowest vertex of v's
+component. ``outerplanar_extension`` checks its part against the host with
+one subset test and bridges in one pass over the host's sorted edges, and
+the reduction witnesses grow the builder that checked their input's
+outerplanarity.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -43,14 +50,9 @@ from operator import itemgetter
 import networkx as nx
 
 from .errors import MalformedRotationError, NotOuterplanarError
-from .graph import (
-    Graph,
-    _edge_set,
-    _find,
-    connected_components,
-    edges_connected,
-    normalize_edge,
-)
+from .graph import Graph, _edge_set, _find, edges_connected, normalize_edge
+# benchmarks/tracing.py wraps this binding; nothing here calls it
+from .graph import connected_components  # noqa: F401
 
 Dart = tuple[int, int]
 
@@ -363,149 +365,162 @@ def is_planar_graph(g: Graph) -> tuple:
     return True, PlaneDrawing(g, g.edges, rotation)
 
 
-def _blocks(root: int, adj: dict) -> list:
-    """Edge lists of the biconnected blocks of the component holding root.
+def _blocks(root: int, adj, disc: dict) -> tuple:
+    """(vertices, blocks) of the component holding root: its vertices,
+    sorted, and the edge list of each biconnected block.
 
-    One iterative depth-first search with lowpoints: tree and back edges go
-    on an edge stack, and a block is popped off it when a child's lowpoint
-    does not reach above its parent.
+    One iterative depth-first search with lowpoints (Hopcroft and Tarjan,
+    CACM 16, 1973): tree and back edges go on an edge stack, and a block is
+    popped off it, last edge first, when a child's lowpoint does not reach
+    above its parent. ``disc`` maps every vertex reached so far, in this or
+    an earlier component of the same edge set, to its discovery number.
     """
-    disc = {root: 0}
-    low = {root: 0}
+    disc[root] = len(disc)
+    low = {root: disc[root]}
     edge_stack: list = []
     blocks: list = []
-    stack = [(root, None, iter(adj[root]))]
+    # a frame remembers where its tree edge sits on the edge stack
+    stack = [(root, None, iter(adj[root]), 0)]
     while stack:
-        v, parent, it = stack[-1]
+        v, parent, it, mark = stack[-1]
         for w in it:
             if w not in disc:
                 disc[w] = low[w] = len(disc)
+                stack.append((w, v, iter(adj[w]), len(edge_stack)))
                 edge_stack.append((v, w))
-                stack.append((w, v, iter(adj[w])))
                 break
             if w != parent and disc[w] < disc[v]:
                 edge_stack.append((v, w))
-                low[v] = min(low[v], disc[w])
+                if disc[w] < low[v]:
+                    low[v] = disc[w]
         else:
             stack.pop()
             if parent is None:
                 continue
-            low[parent] = min(low[parent], low[v])
+            if low[v] < low[parent]:
+                low[parent] = low[v]
             if low[v] >= disc[parent]:
-                block = []
-                while True:
-                    e = edge_stack.pop()
-                    block.append(e)
-                    if e == (parent, v):
-                        break
-                blocks.append(block)
-    return blocks
+                blocks.append(edge_stack[mark:][::-1])
+                del edge_stack[mark:]
+    return sorted(low), blocks
 
 
-def _block_cycle(block: list) -> list:
-    """The vertices of one block in the cyclic order of its outer cycle.
+def _block_fans(block: list, fans: dict) -> bool:
+    """Extend each vertex's fan in ``fans`` by its neighbours in one block
+    of at least two edges; False when the block is not outerplanar.
 
-    Degree-2 vertices are removed one at a time, joining their two neighbours
-    by a virtual edge, until three vertices are left; they are then put back
-    in reverse order, each between its two neighbours on a cyclic linked
-    list. Every block edge must then nest as a chord of that order, which
-    alone proves the block outerplanar. Returns None when it is not.
+    Degree-2 vertices are removed one at a time, joining their two
+    neighbours by a virtual edge, until three vertices are left; they are
+    then put back in reverse order, each between its two neighbours on a
+    cyclic linked list (Mitchell, IPL 9, 1979). That gives the cyclic order
+    of the block's outer cycle. Which vertices survive, and so the order's
+    direction, follows the iteration order of the neighbour sets. Every
+    block edge must then nest as a chord of that order, which alone proves
+    the block outerplanar. Each edge goes in the bucket of its lower
+    position; the nesting check walks the positions in turn and hands each
+    higher end the lower one, so a position's higher ends and then its
+    lower ends, each ascending, are the vertex's block neighbours by cyclic
+    offset from it. The block's outer corner at the vertex lies between the
+    last and the first of them.
     """
-    adj: dict = {}
+    adj: dict = defaultdict(set)
     for u, v in block:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+        adj[u].add(v)
+        adj[v].add(u)
     k = len(adj)
-    if k <= 3:
-        return list(adj)
     if len(block) > 2 * k - 3:
-        return None
+        return False
     removed = []
     queue = [v for v in adj if len(adj[v]) == 2]
-    left = k
-    while queue and left > 3:
+    while queue and len(adj) > 3:
         v = queue.pop()
         if v not in adj or len(adj[v]) != 2:
             continue
         a, b = adj.pop(v)
         removed.append((v, a, b))
-        left -= 1
-        adj[a].discard(v)
-        adj[b].discard(v)
-        adj[a].add(b)
-        adj[b].add(a)
-        queue.extend(x for x in (a, b) if len(adj[x]) == 2)
-    if left > 3:
-        return None
+        near_a, near_b = adj[a], adj[b]
+        near_a.discard(v)
+        near_b.discard(v)
+        near_a.add(b)
+        near_b.add(a)
+        if len(near_a) == 2:
+            queue.append(a)
+        if len(near_b) == 2:
+            queue.append(b)
+    if len(adj) > 3:
+        return False
     r0, r1, r2 = adj
     nxt = {r0: r1, r1: r2, r2: r0}
     for v, a, b in reversed(removed):
         if nxt[b] == a:
             a, b = b, a
         elif nxt[a] != b:
-            return None
+            return False
         nxt[a] = v
         nxt[v] = b
     order = [r0]
     for _ in range(k - 1):
         order.append(nxt[order[-1]])
     pos = {v: i for i, v in enumerate(order)}
-    ends: list = [[] for _ in range(k)]
+    highs: list = [[] for _ in range(k)]
     for u, v in block:
-        i, j = sorted((pos[u], pos[v]))
-        ends[i].append(j)
+        i, j = pos[u], pos[v]
+        if i < j:
+            highs[i].append(j)
+        else:
+            highs[j].append(i)
+    lows: list = [[] for _ in range(k)]
     # chords nest iff the open ones close in last-opened-first order
     stack: list = []
-    for i in range(k):
+    for i, v in enumerate(order):
         while stack and stack[-1] == i:
             stack.pop()
-        for j in sorted(ends[i], reverse=True):
-            if stack and stack[-1] < j:
-                return None
-            stack.append(j)
-    return order
+        ups = highs[i]
+        if ups:
+            ups.sort()
+            if stack and stack[-1] < ups[-1]:
+                return False
+            stack += reversed(ups)
+            for j in ups:
+                lows[j].append(i)
+        fans[v] += [order[j] for j in ups + lows[i]]
+    return True
 
 
-def _embed_component_outerplanar(vertices: list, adj) -> tuple:
-    """Embed one component of an edge set with all its vertices on a single face.
+def _embed_component_outerplanar(root: int, adj, disc: dict) -> tuple:
+    """Embed the component of root, its lowest vertex, with all its
+    vertices on a single face.
 
-    ``vertices`` is the component, sorted, with at least two members, and
-    ``adj[v]`` lists v's neighbours in the whole edge set in sorted order:
-    the components of one edge set share it. Returns (rotation dict, outer
-    walk darts). Raises NotOuterplanarError when impossible.
-    Each biconnected block is laid out on the cyclic order of its outer
-    cycle (``_block_cycle``); a vertex's rotation in a block is its block
-    neighbours sorted by cyclic offset from it, so the block's outer corner
-    at the vertex lies between its last and first neighbour. A cut vertex
-    lists the fans of its blocks one after another, which puts every block
-    in the shared outer region. The outer walk is that one face, followed
-    from the first dart of the lowest vertex; it is the face that tracing
-    every face would find first among those through every vertex.
+    ``adj[v]`` lists v's neighbours in the whole edge set in sorted order,
+    and ``disc`` is the search's record of the vertices reached (``_blocks``):
+    the components of one edge set share both. Returns (rotation dict over
+    the component's sorted vertices, outer walk darts). Raises
+    NotOuterplanarError when impossible.
+    A one-edge block adds a dart at each end; every other block adds its
+    fans (``_block_fans``). A cut vertex lists the fans of its blocks one
+    after another, which puts every block in the shared outer region. The
+    outer walk is that one face, followed from the first dart of the lowest
+    vertex; it is the face that tracing every face would find first among
+    those through every vertex.
     """
+    vertices, blocks = _blocks(root, adj, disc)
     fans: dict = {v: [] for v in vertices}
-    for block in _blocks(vertices[0], adj):
-        order = _block_cycle(block)
-        if order is None:
+    for block in blocks:
+        if len(block) == 1:
+            (u, v), = block
+            fans[u].append(v)
+            fans[v].append(u)
+        elif not _block_fans(block, fans):
             raise NotOuterplanarError(
-                f"component of {len(vertices)} vertices at vertex {vertices[0]} "
+                f"component of {len(vertices)} vertices at vertex {root} "
                 "is not outerplanar")
-        k = len(order)
-        pos = {v: i for i, v in enumerate(order)}
-        nbrs: dict = {v: [] for v in order}
-        for u, v in block:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        for v in order:
-            p = pos[v]
-            fans[v].extend(sorted(nbrs[v], key=lambda u: (pos[u] - p) % k))
-    rotation = {v: tuple(fans[v]) for v in vertices}
     # every fan starts after an outer corner, so the dart from the lowest
     # vertex to its first neighbour (the tracer's slot 0) lies on the outer
     # face; only that face is walked
-    walk = _walk_face(rotation, (vertices[0], rotation[vertices[0]][0]))
+    walk = _walk_face(fans, (root, fans[root][0]))
     if len({a for a, _ in walk}) != len(vertices):
         raise AssertionError("block embedding left a vertex off the outer walk")
-    return rotation, walk
+    return fans, walk
 
 
 def is_outerplanar(g: Graph) -> tuple:
@@ -583,10 +598,15 @@ class OuterBuilder:
     def add_outerplanar(self, n: int, edges):
         """Place an outerplanar edge set over vertices 0..n-1.
 
-        Each component is embedded with all its vertices on the shared region
-        and isolated vertices are placed in it; the components read one sorted
-        adjacency of the whole edge set. Raises NotOuterplanarError when a
-        component is not outerplanar.
+        The vertices are walked in ascending order. An isolated vertex is
+        placed in the shared region; an unreached one with edges starts one
+        depth-first search over its component, which is then embedded with
+        all its vertices on the shared region, block by block, each vertex's
+        fan read off the chord ends bucketed at its cycle position
+        (``_embed_component_outerplanar``). So components come in the order
+        of their lowest vertices, and all of them read one sorted adjacency
+        of the whole edge set. Raises NotOuterplanarError when a component
+        is not outerplanar.
         """
         adj: list = [[] for _ in range(n)]
         for u, v in edges:
@@ -594,11 +614,14 @@ class OuterBuilder:
             adj[v].append(u)
         for nbrs in adj:
             nbrs.sort()
-        for comp in connected_components(n, edges):
-            if len(comp) == 1:
-                self.add_vertex(comp[0])
+        disc: dict = {}
+        for v in range(n):
+            if v in disc:
+                continue
+            if adj[v]:
+                self.add_component(*_embed_component_outerplanar(v, adj, disc))
             else:
-                self.add_component(*_embed_component_outerplanar(comp, adj))
+                self.add_vertex(v)
 
     def _insert_after_anchor(self, v: int, w: int):
         """Insert neighbor w into the rotation of v at an outer corner. The
@@ -691,9 +714,9 @@ def outerplanar_extension(host: Graph, edges) -> PlaneDrawing:
     is not outerplanar.
     """
     edge_set = _edge_set(edges)
-    for e in edge_set:
-        if e not in host.edges:
-            raise ValueError(f"edge {e} is not a host edge")
+    if not edge_set <= host.edges:
+        e = next(e for e in edge_set if e not in host.edges)
+        raise ValueError(f"edge {e} is not a host edge")
     builder = OuterBuilder()
     builder.add_outerplanar(host.n, edge_set)
     # connect through the outer region using host edges; one pass suffices,

@@ -18,14 +18,14 @@ supplied.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .certify import UncrossedCertificate, verify_drawing
-from .embedding import OuterBuilder, PlaneDrawing, is_outerplanar
-from .errors import NotOuterplanarError, OracleCapError
+from .certify import UncrossedCertificate
+from .embedding import OuterBuilder, PlaneDrawing
+from .errors import NotOuterplanarError
 from .graph import Graph, _edge_set, normalize_edge, uncovered_edges
-# benchmarks/tracing.py wraps this binding; nothing here calls it
+# benchmarks/tracing.py wraps these bindings; nothing here calls them
+from .embedding import is_outerplanar  # noqa: F401
 from .graph import connected_components  # noqa: F401
 
 
@@ -193,57 +193,3 @@ def unc_forward_witness(inst: ReductionInstance, parts) -> UncrossedCertificate:
         drawings.append(builder.build(inst.target))
     return UncrossedCertificate(inst.target, tuple(drawings))
 
-
-def max_outerplanar_subgraph_exact(g: Graph) -> tuple:
-    """(k*, witness edge set): a maximum outerplanar subgraph, brute force
-    over the 2^m edge subsets of a source with at most 12 edges."""
-    if g.m > 12:
-        raise OracleCapError(f"source has {g.m} edges, above the cap of 12", g.m, 12)
-    edge_list = g.sorted_edges
-    for size in range(g.m, -1, -1):
-        for combo in itertools.combinations(range(g.m), size):
-            subset = frozenset(edge_list[i] for i in combo)
-            ok, _ = is_outerplanar(Graph(g.n, subset))
-            if ok:
-                return size, subset
-    return 0, frozenset()
-
-
-@dataclass(frozen=True)
-class ReductionValidation:
-    """Exhaustive small-instance check of the ecr-kind reduction."""
-
-    k_star: int
-    witness_edges: frozenset
-    results: tuple  # tuple[(k, bool passed, str detail), ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for _, passed, _ in self.results)
-
-
-def validate_reduction_small(g: Graph, k: int | None = None):
-    """Compute the exact outerplanar maximum k* of g and witness each k <= k*.
-
-    For every k up to k* (or just the given k) the generated ecr instance is
-    paired with a forward witness drawing, which is then rechecked for
-    admissibility and for meeting its budget.
-    """
-    k_star, h_star = max_outerplanar_subgraph_exact(g)
-    if k is not None and k > k_star:
-        raise ValueError(f"requested k = {k} exceeds the exact maximum {k_star}")
-    ks = [k] if k is not None else list(range(0, k_star + 1))
-    results = []
-    for kk in ks:
-        inst = reduce_mos_to_ecr(g, kk)
-        try:
-            drawing = ecr_forward_witness(inst, h_star)
-        except Exception as exc:  # report, never mask, a broken witness
-            results.append((kk, False, f"witness construction failed: {exc}"))
-            continue
-        rep = verify_drawing(inst.target, drawing)
-        undrawn = len(inst.target.edges) - len(drawing.drawn)
-        passed = rep.ok and undrawn <= inst.budget
-        detail = f"undrawn {undrawn} <= budget {inst.budget}, admissible {rep.ok}"
-        results.append((kk, passed, detail))
-    return ReductionValidation(k_star, h_star, tuple(results))

@@ -6,12 +6,31 @@ over circular vertex orders, planarity and admissibility by exhaustive
 rotation systems with a face tracer that walks darts in the opposite
 direction, and forbidden minors by a branch-set search.  Slow, but exact on
 the small graphs the tests feed them.
+
+Two helpers are kept here instead because only tests use them: the
+package's former outerplanar embedder (components first, then blocks, then
+each block's cycle and a sorted fan), which pins the one-search embedder's
+output byte for byte, and the brute-force maximum outerplanar subgraph
+with the small-instance check of the ecr reduction built on it.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
+
+from uncrossed import (
+    Graph,
+    OracleCapError,
+    ecr_forward_witness,
+    is_outerplanar,
+    reduce_mos_to_ecr,
+    verify_drawing,
+)
+from uncrossed.embedding import _walk_face
+from uncrossed.errors import NotOuterplanarError
+from uncrossed.graph import connected_components
 
 
 def _adj_sets(n, edges):
@@ -206,3 +225,197 @@ def plane_grid(k: int) -> tuple:
                                   if 0 <= a < k and 0 <= b < k))
     edges = frozenset((v, u) for v, ring in enumerate(rotation) for u in ring if v < u)
     return edges, tuple(rotation)
+
+
+# --- the outerplanar embedder before one search per component -------------
+
+
+def _reference_blocks(root: int, adj) -> list:
+    """Edge lists of the biconnected blocks of the component holding root:
+    one lowpoint search, popping a block off the edge stack when a child's
+    lowpoint does not reach above its parent."""
+    disc = {root: 0}
+    low = {root: 0}
+    edge_stack: list = []
+    blocks: list = []
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        for w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                edge_stack.append((v, w))
+                stack.append((w, v, iter(adj[w])))
+                break
+            if w != parent and disc[w] < disc[v]:
+                edge_stack.append((v, w))
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            if parent is None:
+                continue
+            low[parent] = min(low[parent], low[v])
+            if low[v] >= disc[parent]:
+                block = []
+                while True:
+                    e = edge_stack.pop()
+                    block.append(e)
+                    if e == (parent, v):
+                        break
+                blocks.append(block)
+    return blocks
+
+
+def _reference_block_cycle(block: list):
+    """The vertices of one block in the cyclic order of its outer cycle, by
+    the degree-2 reduction, or None when the block is not outerplanar."""
+    adj: dict = {}
+    for u, v in block:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    k = len(adj)
+    if k <= 3:
+        return list(adj)
+    if len(block) > 2 * k - 3:
+        return None
+    removed = []
+    queue = [v for v in adj if len(adj[v]) == 2]
+    left = k
+    while queue and left > 3:
+        v = queue.pop()
+        if v not in adj or len(adj[v]) != 2:
+            continue
+        a, b = adj.pop(v)
+        removed.append((v, a, b))
+        left -= 1
+        adj[a].discard(v)
+        adj[b].discard(v)
+        adj[a].add(b)
+        adj[b].add(a)
+        queue.extend(x for x in (a, b) if len(adj[x]) == 2)
+    if left > 3:
+        return None
+    r0, r1, r2 = adj
+    nxt = {r0: r1, r1: r2, r2: r0}
+    for v, a, b in reversed(removed):
+        if nxt[b] == a:
+            a, b = b, a
+        elif nxt[a] != b:
+            return None
+        nxt[a] = v
+        nxt[v] = b
+    order = [r0]
+    for _ in range(k - 1):
+        order.append(nxt[order[-1]])
+    pos = {v: i for i, v in enumerate(order)}
+    ends: list = [[] for _ in range(k)]
+    for u, v in block:
+        i, j = sorted((pos[u], pos[v]))
+        ends[i].append(j)
+    stack: list = []
+    for i in range(k):
+        while stack and stack[-1] == i:
+            stack.pop()
+        for j in sorted(ends[i], reverse=True):
+            if stack and stack[-1] < j:
+                return None
+            stack.append(j)
+    return order
+
+
+def _reference_embed_component(vertices: list, adj) -> tuple:
+    """(rotation, outer walk) of one component: each block's vertices take
+    their block neighbours sorted by cyclic offset along the block's cycle."""
+    fans: dict = {v: [] for v in vertices}
+    for block in _reference_blocks(vertices[0], adj):
+        order = _reference_block_cycle(block)
+        if order is None:
+            raise NotOuterplanarError(
+                f"component of {len(vertices)} vertices at vertex {vertices[0]} "
+                "is not outerplanar")
+        k = len(order)
+        pos = {v: i for i, v in enumerate(order)}
+        nbrs: dict = {v: [] for v in order}
+        for u, v in block:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        for v in order:
+            p = pos[v]
+            fans[v].extend(sorted(nbrs[v], key=lambda u: (pos[u] - p) % k))
+    rotation = {v: tuple(fans[v]) for v in vertices}
+    return rotation, _walk_face(rotation, (vertices[0], rotation[vertices[0]][0]))
+
+
+def reference_add_outerplanar(builder, n: int, edges) -> None:
+    """What ``OuterBuilder.add_outerplanar`` did before it drew each
+    component in one search: the components in order of their lowest
+    vertex, each embedded block by block."""
+    adj: list = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj:
+        nbrs.sort()
+    for comp in connected_components(n, edges):
+        if len(comp) == 1:
+            builder.add_vertex(comp[0])
+        else:
+            builder.add_component(*_reference_embed_component(comp, adj))
+
+
+# --- brute-force check of the ecr reduction on small sources --------------
+
+
+def max_outerplanar_subgraph_exact(g: Graph) -> tuple:
+    """(k*, witness edge set): a maximum outerplanar subgraph, brute force
+    over the 2^m edge subsets of a source with at most 12 edges."""
+    if g.m > 12:
+        raise OracleCapError(f"source has {g.m} edges, above the cap of 12", g.m, 12)
+    edge_list = g.sorted_edges
+    for size in range(g.m, -1, -1):
+        for combo in itertools.combinations(range(g.m), size):
+            subset = frozenset(edge_list[i] for i in combo)
+            ok, _ = is_outerplanar(Graph(g.n, subset))
+            if ok:
+                return size, subset
+    return 0, frozenset()
+
+
+@dataclass(frozen=True)
+class ReductionValidation:
+    """Exhaustive small-instance check of the ecr-kind reduction."""
+
+    k_star: int
+    witness_edges: frozenset
+    results: tuple  # tuple[(k, bool passed, str detail), ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(passed for _, passed, _ in self.results)
+
+
+def validate_reduction_small(g: Graph, k: int | None = None):
+    """Compute the exact outerplanar maximum k* of g and witness each k <= k*.
+
+    For every k up to k* (or just the given k) the generated ecr instance is
+    paired with a forward witness drawing, which is then rechecked for
+    admissibility and for meeting its budget.
+    """
+    k_star, h_star = max_outerplanar_subgraph_exact(g)
+    if k is not None and k > k_star:
+        raise ValueError(f"requested k = {k} exceeds the exact maximum {k_star}")
+    ks = [k] if k is not None else list(range(0, k_star + 1))
+    results = []
+    for kk in ks:
+        inst = reduce_mos_to_ecr(g, kk)
+        try:
+            drawing = ecr_forward_witness(inst, h_star)
+        except Exception as exc:  # report, never mask, a broken witness
+            results.append((kk, False, f"witness construction failed: {exc}"))
+            continue
+        rep = verify_drawing(inst.target, drawing)
+        undrawn = len(inst.target.edges) - len(drawing.drawn)
+        passed = rep.ok and undrawn <= inst.budget
+        detail = f"undrawn {undrawn} <= budget {inst.budget}, admissible {rep.ok}"
+        results.append((kk, passed, detail))
+    return ReductionValidation(k_star, h_star, tuple(results))

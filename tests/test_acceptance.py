@@ -40,8 +40,9 @@ from uncrossed import (
     wheel_drawing,
 )
 from uncrossed.formulas import density_f
-from uncrossed.reductions import ecr_forward_witness, max_outerplanar_subgraph_exact, unc_forward_witness
+from uncrossed.reductions import ecr_forward_witness, unc_forward_witness
 
+from helpers import max_outerplanar_subgraph_exact
 from test_reductions import FIG, FIG_PART1, FIG_PART2
 
 

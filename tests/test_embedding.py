@@ -28,6 +28,7 @@ from uncrossed import (
     is_outerplanar,
     is_planar_embedding,
     is_planar_graph,
+    outerplanar_cover,
     outerplanar_extension,
 )
 from uncrossed.certify import serialize_drawing, verify_drawing
@@ -596,14 +597,59 @@ def test_outer_walk_is_the_first_face_through_every_vertex():
     for _ in range(300):
         n, edges = H.random_graph(rng, rng.randint(2, 8), rng.uniform(0.3, 0.8))
         g = Graph(n, edges)
+        disc: dict = {}
         for comp in connected_components(n, g.edges):
             if len(comp) < 2:
                 continue
             try:
-                rotation, walk = _embed_component_outerplanar(comp, g.adjacency)
+                rotation, walk = _embed_component_outerplanar(comp[0], g.adjacency, disc)
             except NotOuterplanarError:
                 continue
+            assert sorted(rotation) == comp
             first = next(f for f in trace_rotation(rotation) if f.vertices >= set(comp))
             assert walk == list(first.walk)
             checked += 1
     assert checked >= 100
+
+
+def _builder_state(b: OuterBuilder) -> tuple:
+    return (list(b.rotation.items()), list(b.outer), list(b.anchor.items()),
+            list(b._parent.items()), b.count)
+
+
+def _same_as_reference(n: int, edges) -> bool:
+    """Place (n, edges) with add_outerplanar and with the reference embedder
+    in helpers.py; both leave the same builder state, in the same insertion
+    order, and raise the same message. True when the edges draw."""
+    states, errors = [], []
+    for add in (OuterBuilder.add_outerplanar, H.reference_add_outerplanar):
+        b = OuterBuilder()
+        try:
+            add(b, n, edges)
+            errors.append(None)
+        except NotOuterplanarError as exc:
+            errors.append(str(exc))
+        states.append(_builder_state(b))
+    assert errors[0] == errors[1]
+    assert states[0] == states[1]
+    return errors[0] is None
+
+
+def test_add_outerplanar_matches_the_reference_on_every_cover_part():
+    parts = 0
+    for m in range(3, 31):
+        for n in range(m, 2 * m - 1):
+            for part in outerplanar_cover(m, n):
+                assert _same_as_reference(m + n, part)
+                parts += 1
+    assert parts > 4000
+
+
+def test_add_outerplanar_matches_the_reference_on_random_graphs():
+    rng = random.Random(32)
+    drawn = 0
+    for _ in range(2400):
+        n, edges = H.random_graph(rng, rng.randint(1, 12), rng.uniform(0.1, 0.6))
+        rng.shuffle(edges)
+        drawn += _same_as_reference(n, edges)
+    assert 1000 <= drawn <= 2000

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import helpers as H
+from helpers import max_outerplanar_subgraph_exact, validate_reduction_small
 from uncrossed import (
     Graph,
     NotOuterplanarError,
@@ -23,7 +24,6 @@ from uncrossed import (
 )
 from uncrossed.certify import serialize_drawing
 from uncrossed.graph import connected_components
-from uncrossed.reductions import max_outerplanar_subgraph_exact, validate_reduction_small
 
 TRIANGLE = Graph(3, [(0, 1), (0, 2), (1, 2)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
