@@ -36,9 +36,7 @@ from .constructions import (
 from .embedding import (
     Face,
     PlaneDrawing,
-    cofacial,
     is_outerplanar,
-    is_planar_embedding,
     is_planar_graph,
     outerplanar_extension,
 )
@@ -59,7 +57,6 @@ from .formulas import (
     unc_complete,
     unc_complete_bipartite,
     unc_lower_bound_density,
-    unc_lower_bound_h,
 )
 from .graph import (
     Graph,
@@ -108,7 +105,6 @@ __all__ = [
     "UncrossedCertificate",
     "bipartite_uncrossed_collection",
     "bound_report",
-    "cofacial",
     "collection_from_outerplanar_decomposition",
     "complete_bipartite",
     "complete_graph",
@@ -125,7 +121,6 @@ __all__ = [
     "h_complete_bipartite",
     "is_connected",
     "is_outerplanar",
-    "is_planar_embedding",
     "is_planar_graph",
     "k5_two_wheel_certificate",
     "ladder_with_leaves",
@@ -146,7 +141,6 @@ __all__ = [
     "unc_complete_bipartite",
     "unc_forward_witness",
     "unc_lower_bound_density",
-    "unc_lower_bound_h",
     "verify_certificate",
     "verify_drawing",
     "wheel_drawing",

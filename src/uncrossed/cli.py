@@ -27,7 +27,6 @@ from .certify import (
 from .errors import (
     DecompositionNotFound,
     FormatError,
-    NotOuterplanarError,
     OracleCapError,
 )
 from .graph import Graph, LineReader, format_edge_list, parse_edge_list
@@ -371,8 +370,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FormatError, OracleCapError, DecompositionNotFound,
-            NotOuterplanarError, ValueError) as exc:
+    except (ValueError, OracleCapError, DecompositionNotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,9 +150,6 @@ class DoubleCycle:
         pair of the cycle edge before it, its leaves, the pair after it."""
         return (*self.quad_whites[p - 1], *self.leaves[p], *self.quad_whites[p])
 
-    def degree_at(self, p: int) -> int:
-        return len(self.block(p))
-
     def edges(self) -> frozenset:
         # blacks are below m and whites from m on: every pair is normalized
         return frozenset((b, w) for p, b in enumerate(self.black_cycle) for w in self.block(p))
@@ -422,7 +419,7 @@ def serialize_cover(c: DoubleCycleCover) -> str:
         out.append(f"cycle {i}")
         if c.kind == "block":
             out.append(f"start {cyc.quad_whites[-1][0] - c.m}")
-            out.append("degrees " + " ".join(str(cyc.degree_at(p)) for p in range(cyc.k)))
+            out.append("degrees " + " ".join(str(len(cyc.block(p))) for p in range(cyc.k)))
         else:
             out.append(f"shift {cyc.black_cycle[0]}")
     return "\n".join(out) + "\n"

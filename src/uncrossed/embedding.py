@@ -15,9 +15,9 @@ dart ``(v, rotation[v][i])`` is slot ``off[v] + i``; ``_successors`` maps each
 slot to the slot after it on its face, and faces are the cycles of that
 list, numbered by ``_face_ids`` alone: a face's id is the rank of its lowest
 slot. ``PlaneDrawing`` reads its rotation in one such pass and keeps each
-slot's face id, for the verifier, the renderer, ``is_planar_embedding`` and
-the oracle's final check; the oracle's kernel ORs face bits into a mask per
-vertex. ``_walk_face`` follows one face dart by dart, for an outerplanar
+slot's face id, for the verifier, the renderer and the oracle's final
+check; the oracle's kernel ORs face bits into a mask per vertex.
+``_walk_face`` follows one face dart by dart, for an outerplanar
 component's outer walk, the renderer's boundary and ``trace_rotation``.
 
 Outerplanar embedding is pure Python, with one depth-first search per
@@ -328,20 +328,6 @@ class PlaneDrawing:
     def violating_edges(self) -> tuple:
         """The undrawn host edges, in sorted order, whose ends share no face."""
         return tuple(self._violations())
-
-
-def is_planar_embedding(d: PlaneDrawing) -> bool:
-    """Check that the rotation system describes a planar embedding.
-
-    True iff the drawn subgraph is connected, spans every host vertex, and the
-    traced faces satisfy V - E + F = 2.
-    """
-    return d.well_formed and edges_connected(d.host.n, d.drawn) and d.euler_ok
-
-
-def cofacial(d: PlaneDrawing, u: int, v: int) -> bool:
-    """True iff u and v lie on a common face of the drawing."""
-    return not set(d.vertex_faces(u)).isdisjoint(d.vertex_faces(v))
 
 
 def is_planar_graph(g: Graph) -> tuple:

@@ -26,8 +26,6 @@ class OracleCapError(RuntimeError):
         super().__init__(message)
         self.edge_count = edge_count
         self.cap = cap
-        # subgraph candidates the search would have to consider
-        self.estimate = 2 ** edge_count
 
 
 class DecompositionNotFound(RuntimeError):

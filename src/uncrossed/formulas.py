@@ -4,7 +4,7 @@ The central quantity unc(G) is the least number of planar-looking drawings of
 G needed so that every edge is drawn (crossing-free) in at least one of them,
 where each drawing must keep the endpoints of every undrawn edge on a common
 face. Closed forms are known for complete and complete bipartite hosts; for
-everything else this module provides counting lower bounds.
+everything else this module provides a counting lower bound.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def unc_complete_bipartite(m: int, n: int) -> int:
     if m <= 2:
         return 1
     if n <= 2 * m - 2:
-        return _ceil_div(m * n, 2 * m + n - 2)
+        return outerthickness_complete_bipartite(m, n)
     if n == 2 * m - 1:
         return _ceil_div(m * n, 2 * m + n - 1)
     return _ceil_div(m * n, 2 * m + n)
@@ -88,19 +88,9 @@ def outerthickness_complete_bipartite(m: int, n: int) -> int:
     return _ceil_div(m * n, 2 * m + n - 2)
 
 
-def density_f(n: int, m: int) -> float:
-    """Per-drawing edge capacity (3n - 5 + sqrt((3n-5)^2 - 4m)) / 2."""
-    if n < 3:
-        raise ValueError("need at least 3 vertices")
-    a = 3 * n - 5
-    disc = a * a - 4 * m
-    if disc < 0:
-        raise ValueError("edge count exceeds the capacity range")
-    return (a + math.sqrt(disc)) / 2
-
-
 def unc_lower_bound_density(n: int, m: int) -> int:
-    """Least k with k * density_f(n, m) >= m, computed in exact arithmetic.
+    """Least k with k * f >= m, computed in exact arithmetic, where
+    f = (3n - 5 + sqrt((3n - 5)^2 - 4m)) / 2 is the per-drawing edge capacity.
 
     Lower-bounds the uncrossed collection size of any n-vertex m-edge graph.
     Requires n >= 3 and 1 <= m <= C(n, 2).
@@ -109,19 +99,10 @@ def unc_lower_bound_density(n: int, m: int) -> int:
         raise ValueError("need at least 3 vertices")
     if not 1 <= m <= n * (n - 1) // 2:
         raise ValueError("edge count out of range")
-    # m / density_f = (a - sqrt(d)) / 2 with d = a^2 - 4m, whose ceiling is
+    # m / f = (a - sqrt(d)) / 2 with d = a^2 - 4m, whose ceiling is
     # (a - isqrt(d) + 1) // 2 whether or not d is a perfect square
     a = 3 * n - 5
     return max(1, (a - math.isqrt(a * a - 4 * m) + 1) // 2)
-
-
-def unc_lower_bound_h(m: int, h: int) -> int:
-    """Least collection size when one drawing holds at most h uncrossed edges."""
-    if h < 1:
-        raise ValueError("per-drawing capacity must be positive")
-    if m < 0:
-        raise ValueError("edge count must be nonnegative")
-    return _ceil_div(m, h)
 
 
 @dataclass(frozen=True)
@@ -178,5 +159,5 @@ def bound_report(g: Graph) -> BoundReport:
         return BoundReport(label, 0, 0, 0, ("empty-graph",))
     if g.n < 3:
         return BoundReport(label, 1, None, None, ("nonempty-graph",))
-    lower = max(1, unc_lower_bound_density(g.n, g.m))
+    lower = unc_lower_bound_density(g.n, g.m)
     return BoundReport(label, lower, None, None, ("density-lower-bound",))

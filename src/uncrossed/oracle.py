@@ -118,11 +118,8 @@ class AdmissibleFamily:
         """Every member's witness drawing, in member order."""
         return tuple(map(self.drawing, range(len(self.masks))))
 
-    def sizes(self) -> tuple:
-        return tuple(mask.bit_count() for mask in self.masks)
-
     def max_size(self) -> int:
-        return max(self.sizes(), default=0)
+        return max((mask.bit_count() for mask in self.masks), default=0)
 
 
 def _orders(table: dict, neighbors: tuple, pivot: bool) -> tuple:

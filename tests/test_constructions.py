@@ -109,7 +109,7 @@ def test_double_cycle_validation():
     # a well-formed one
     c = DoubleCycle(2, 4, (0, 1), ((2, 3), (4, 5)), ((), ()))
     assert c.k == 2
-    assert c.degree_at(0) == 4
+    assert len(c.block(0)) == 4
 
 
 def test_double_cycle_cover_small_shapes():
@@ -122,7 +122,7 @@ def test_double_cycle_cover_small_shapes():
 def test_double_cycle_cover_nine_twentyfour_degree_pattern():
     c = double_cycle_cover(9, 24)
     first = c.cycles[0]
-    assert tuple(first.degree_at(b) for b in first.black_cycle) == (4, 5, 5, 4, 5, 5, 4, 5, 5)
+    assert tuple(len(first.block(p)) for p in range(first.k)) == (4, 5, 5, 4, 5, 5, 4, 5, 5)
     assert len(c.cycles) == 6
 
 

@@ -22,11 +22,9 @@ from uncrossed import (
     MalformedRotationError,
     NotOuterplanarError,
     PlaneDrawing,
-    cofacial,
     complete_bipartite,
     complete_graph,
     is_outerplanar,
-    is_planar_embedding,
     is_planar_graph,
     outerplanar_cover,
     outerplanar_extension,
@@ -34,6 +32,11 @@ from uncrossed import (
 from uncrossed.certify import serialize_drawing, verify_drawing
 from uncrossed.embedding import OuterBuilder, _embed_component_outerplanar, trace_rotation
 from uncrossed.graph import connected_components, edges_connected
+
+
+def _planar_embedding(d: PlaneDrawing) -> bool:
+    """Well formed, connected, spanning and planar by Euler's count."""
+    return verify_drawing(d.host, d).euler_ok
 
 
 def triangle_drawing():
@@ -60,7 +63,7 @@ def test_triangle_has_two_faces():
     faces = _walks(triangle_drawing())
     assert len(faces) == 2
     assert all(f.length == 3 for f in faces)
-    assert is_planar_embedding(triangle_drawing())
+    assert _planar_embedding(triangle_drawing())
 
 
 def test_face_walks_cover_each_dart_once():
@@ -75,7 +78,7 @@ def test_face_walks_cover_each_dart_once():
 
 def test_single_vertex_counts_one_face():
     d = PlaneDrawing(Graph(1, []), frozenset(), ((),), None)
-    assert is_planar_embedding(d)
+    assert _planar_embedding(d)
 
 
 def test_nonplanar_rotation_detected():
@@ -83,7 +86,7 @@ def test_nonplanar_rotation_detected():
     rot = tuple(tuple(w for w in range(5) if w != v) for v in range(5))
     d = PlaneDrawing(host, frozenset(host.edges), rot, None)
     # some rotation of K5 exists, but none satisfies Euler
-    assert not is_planar_embedding(d)
+    assert not _planar_embedding(d)
 
 
 def test_trace_rotation_rejects_asymmetric_darts():
@@ -134,9 +137,9 @@ def test_cofacial_on_square_with_diagonal_undrawn():
     host = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     rot = ((1, 3), (2, 0), (3, 1), (0, 2))
     d = PlaneDrawing(host, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}), rot, (0, 1))
-    assert is_planar_embedding(d)
-    assert cofacial(d, 0, 2)
-    assert cofacial(d, 1, 3)
+    assert _planar_embedding(d)
+    assert d.violating_edges() == ()  # the undrawn diagonal (0, 2)
+    assert not set(d.vertex_faces(1)).isdisjoint(d.vertex_faces(3))
 
 
 def test_is_planar_graph_matches_bruteforce():
@@ -149,7 +152,7 @@ def test_is_planar_graph_matches_bruteforce():
             assert ok == H.planar_by_rotations(n, edges), (n, edges)
         if witness is not None:
             assert witness.drawn == g.edges
-            assert is_planar_embedding(witness)
+            assert _planar_embedding(witness)
 
 
 def _petersen() -> Graph:
@@ -193,7 +196,7 @@ def test_is_outerplanar_matches_bruteforce():
         assert ok == H.outerplanar_bruteforce(n, edges), (n, edges)
         assert ok == H.outerplanar_by_minors(n, edges), (n, edges)
         if witness is not None:
-            assert is_planar_embedding(witness)
+            assert _planar_embedding(witness)
             assert _outer_face(witness).vertices == frozenset(range(n))
 
 
@@ -203,7 +206,7 @@ def _check_outerplanar(n, edges):
     ok, witness = is_outerplanar(Graph(n, edges))
     assert ok == H.outerplanar_bruteforce(n, edges), (n, edges)
     if witness is not None and edges:
-        assert is_planar_embedding(witness), (n, edges)
+        assert _planar_embedding(witness), (n, edges)
         assert _outer_face(witness).vertices == frozenset(range(n)), (n, edges)
     return ok
 
@@ -255,18 +258,14 @@ def test_outerplanar_fixed_cases():
 def test_outerplanar_extension_triangle_plus_chord():
     host = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])
     d = outerplanar_extension(host, [(0, 1), (1, 2), (0, 2), (2, 3)])
-    assert is_planar_embedding(d)
     assert d.undrawn == ((1, 3),)
-    u, v = (1, 3)
-    assert cofacial(d, u, v)
+    assert verify_drawing(host, d).ok
 
 
 def test_outerplanar_extension_places_isolated_vertices():
     host = Graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (3, 4)])
     d = outerplanar_extension(host, [(0, 1), (1, 2), (0, 2)])
-    assert is_planar_embedding(d)
-    for u, v in sorted(d.undrawn):
-        assert cofacial(d, u, v), (u, v)
+    assert verify_drawing(host, d).ok
 
 
 def _extension_cases():
@@ -332,9 +331,7 @@ def test_outer_builder_bridges_components():
     assert b.count == 1
     assert [b.root(v) for v in range(6)] == [0] * 6
     d = b.build(host)
-    assert is_planar_embedding(d)
-    for u, v in sorted(d.undrawn):
-        assert cofacial(d, u, v)
+    assert verify_drawing(host, d).ok
 
 
 def test_outer_builder_expand_edge_keeps_admissibility():
@@ -345,9 +342,8 @@ def test_outer_builder_expand_edge_keeps_admissibility():
     b.add_vertex(4)
     b.expand_edge(0, 1, [3, 4])
     d = b.build(host)
-    assert is_planar_embedding(d)
     assert d.undrawn == ((0, 1),)
-    assert cofacial(d, 0, 1)
+    assert verify_drawing(host, d).ok
 
 
 def test_outer_builder_refuses_a_bridge_off_the_shared_face():
@@ -569,8 +565,9 @@ def test_one_pass_and_both_cofacial_tests_match_the_references():
             continue
         connected = H.connected(n, drawn)
         assert edges_connected(n, d.drawn) == connected
-        assert is_planar_embedding(d) == (connected and n - len(drawn) + max(len(faces), 1) == 2)
-        if not is_planar_embedding(d):
+        plane = verify_drawing(host, d).euler_ok
+        assert plane == (connected and n - len(drawn) + max(len(faces), 1) == 2)
+        if not plane:
             continue
         want = tuple(e for e in d.undrawn
                      if not any(e[0] in f and e[1] in f for f in faces))

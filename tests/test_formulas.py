@@ -16,9 +16,8 @@ from uncrossed import (
     unc_complete,
     unc_complete_bipartite,
     unc_lower_bound_density,
-    unc_lower_bound_h,
 )
-from uncrossed.formulas import density_f, recognize_complete, recognize_complete_bipartite
+from uncrossed.formulas import recognize_complete, recognize_complete_bipartite
 
 # frozen closed-form values, n = 1..20
 UNC_COMPLETE_TABLE = [1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 6]
@@ -91,18 +90,19 @@ def test_h_values_small():
 def test_unc_at_least_edges_over_capacity():
     for n in range(4, 25):
         m_edges = n * (n - 1) // 2
-        assert unc_complete(n) >= unc_lower_bound_h(m_edges, h_complete(n))
+        assert unc_complete(n) * h_complete(n) >= m_edges
     for m in range(1, 10):
         for n in range(m, 30):
             cap = h_complete_bipartite(m, n)
-            assert unc_complete_bipartite(m, n) >= unc_lower_bound_h(m * n, cap)
+            assert unc_complete_bipartite(m, n) * cap >= m * n
 
 
 def test_unc_matches_capacity_ratio_outside_middle_regime():
     for m in range(3, 10):
         for n in range(2 * m - 1, 40):
             cap = h_complete_bipartite(m, n)
-            assert unc_complete_bipartite(m, n) == unc_lower_bound_h(m * n, cap)
+            k = unc_complete_bipartite(m, n)
+            assert k * cap >= m * n > (k - 1) * cap
 
 
 def test_outerthickness_vs_unc():
@@ -115,13 +115,6 @@ def test_outerthickness_vs_unc():
             assert unc_complete_bipartite(m, n) <= outerthickness_complete_bipartite(m, n)
             if 3 <= m and n <= 2 * m - 2:
                 assert unc_complete_bipartite(m, n) == outerthickness_complete_bipartite(m, n)
-
-
-def test_density_f_special_values():
-    # discriminant 529 = 23^2, so the capacity is exactly integral
-    assert density_f(10, 24) == 24.0
-    with pytest.raises(ValueError):
-        density_f(2, 1)
 
 
 def _density_bound_reference(n: int, m: int) -> int:

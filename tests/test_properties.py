@@ -34,6 +34,7 @@ from uncrossed import (
     k5_two_wheel_certificate,
     ladder_with_leaves,
     outerplanar_extension,
+    outerthickness_complete_bipartite,
     parse_certificate,
     parse_cover,
     parse_edge_list,
@@ -44,7 +45,6 @@ from uncrossed import (
     unc_complete_bipartite,
     unc_forward_witness,
     unc_lower_bound_density,
-    unc_lower_bound_h,
     verify_certificate,
     verify_drawing,
     wheel_drawing,
@@ -112,11 +112,12 @@ def test_formula_arithmetic(m, n):
     v = unc_complete_bipartite(m, n)
     assert v == unc_complete_bipartite(n, m)
     assert 1 <= v <= min(m, n)
-    assert v >= unc_lower_bound_h(m * n, h_complete_bipartite(m, n))
+    assert v * h_complete_bipartite(m, n) >= m * n
     if n < 40:
         assert v <= unc_complete_bipartite(m, n + 1)
-    # ceiling helper agrees with float ceil in the exactly-representable range
-    assert unc_lower_bound_h(m * n, n + 1) == math.ceil(m * n / (n + 1))
+    # the integer ceiling agrees with float ceil in the exactly-representable range
+    lo, hi = min(m, n), max(m, n)
+    assert outerthickness_complete_bipartite(m, n) == math.ceil(m * n / (2 * lo + hi - 2))
 
 
 @settings(max_examples=N_EXAMPLES["density_reference"], **COMMON)
