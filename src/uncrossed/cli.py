@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -368,11 +369,19 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)
+    # The package's data (tuples, frozensets, ints, frozen dataclasses) hold
+    # no reference cycles, so reference counting frees them, and collector
+    # passes over every host and drawing edge would reclaim nothing.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, OracleCapError, DecompositionNotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -607,6 +608,63 @@ def test_verify_report_pinned(tmp_path, construct, code, digest):
     got, out, err = run_cap("verify", "--cert", cert)
     assert got == code
     assert _sha256(out) == digest
+
+
+def test_no_collector_pass_runs_inside_a_command(tmp_path):
+    import uncrossed.cli as cli
+
+    # a pass counts when it starts while one of the command functions runs;
+    # the pass that the first allocation after the command may start does not
+    commands = {f.__code__ for name, f in vars(cli).items() if name.startswith("_cmd_")}
+    inside = []
+
+    def count(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in commands:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            inside.append(info["generation"])
+
+    cert = str(tmp_path / "wheel.cert")
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        assert run_cap("construct", "wheel", "200", "-o", cert)[0] == 0
+        assert run_cap("verify", "--cert", cert)[0] == 1
+    finally:
+        gc.callbacks.remove(count)
+    assert inside == []
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_run_leaves_the_collector_as_it_found_it(collector, tmp_path, monkeypatch):
+    import uncrossed.formulas as formulas
+
+    wheel = str(tmp_path / "wheel.cert")
+    assert run_cap("construct", "wheel", "5", "-o", wheel)[0] == 0
+    assert gc.isenabled() is collector
+    assert run_cap("verify", "--cert", wheel)[0] == 1
+    assert gc.isenabled() is collector
+    code, out, err = run_cap("bound", "--graph", str(tmp_path / "missing.txt"))
+    assert code == 2 and err.startswith("error: cannot read ")
+    assert gc.isenabled() is collector
+    assert run_cap("formula", "complete")[0] == 2  # argparse usage error
+    assert gc.isenabled() is collector
+
+    def fail(n):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr(formulas, "unc_complete", fail)
+    with pytest.raises(RuntimeError, match="unexpected"):
+        run_cap("formula", "complete", "7")
+    assert gc.isenabled() is collector
 
 
 @pytest.mark.parametrize("command", ["construct", "render", "oracle", "reduce"])
